@@ -703,7 +703,7 @@ fn sweep_robust(args: &Args) -> Result<(), CliError> {
             )
         }
         (Some(path), None) => Some(CheckpointJournal::new(path)),
-        (None, Some(path)) => Some(CheckpointJournal::resume(path).map_err(|e| e.to_string())?),
+        (None, Some(path)) => Some(CheckpointJournal::resume(path)?),
         (None, None) => None,
     };
     if let Some(j) = &journal {
@@ -715,12 +715,10 @@ fn sweep_robust(args: &Args) -> Result<(), CliError> {
         }
     }
 
-    let err = |e: sdem_exec::SweepError| e.to_string();
     let (rendered, quarantine, stats, completed) = match figure {
         "fig6" => {
             let instances = args.get_usize("instances", 15)?;
-            let f = figures::fig6_robust(instances, trials, &runner, options, journal.as_mut())
-                .map_err(err)?;
+            let f = figures::fig6_robust(instances, trials, &runner, options, journal.as_mut())?;
             let rendered = f
                 .rows
                 .as_deref()
@@ -729,8 +727,7 @@ fn sweep_robust(args: &Args) -> Result<(), CliError> {
         }
         "fig7a" => {
             let tasks = args.get_usize("tasks", 40)?;
-            let f = figures::fig7a_robust(tasks, trials, &runner, options, journal.as_mut())
-                .map_err(err)?;
+            let f = figures::fig7a_robust(tasks, trials, &runner, options, journal.as_mut())?;
             let rendered = f.rows.as_deref().map(|cells| {
                 (
                     figures::format_fig7(cells, "alpha_m[W]"),
@@ -741,8 +738,7 @@ fn sweep_robust(args: &Args) -> Result<(), CliError> {
         }
         "fig7b" => {
             let tasks = args.get_usize("tasks", 40)?;
-            let f = figures::fig7b_robust(tasks, trials, &runner, options, journal.as_mut())
-                .map_err(err)?;
+            let f = figures::fig7b_robust(tasks, trials, &runner, options, journal.as_mut())?;
             let rendered = f.rows.as_deref().map(|cells| {
                 (
                     figures::format_fig7(cells, "xi_m[ms]"),

@@ -7,6 +7,7 @@
 //! stable codes the serve wire protocol and quarantine records spell as
 //! strings.
 
+use sdem_exec::SweepError;
 use sdem_serve::ApiError;
 use sdem_types::ErrorKind;
 
@@ -55,6 +56,12 @@ impl From<ApiError> for CliError {
     }
 }
 
+impl From<SweepError> for CliError {
+    fn from(e: SweepError) -> Self {
+        Self::new(e.kind(), e.to_string())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,5 +79,12 @@ mod tests {
         let e: CliError = ApiError::new(ErrorKind::Overloaded, "queue full").into();
         assert_eq!(e.kind, ErrorKind::Overloaded);
         assert_eq!(e.kind.exit_code(), 13);
+    }
+
+    #[test]
+    fn sweep_errors_keep_their_kind() {
+        let e: CliError = SweepError::CheckpointMismatch { detail: "d".into() }.into();
+        assert_eq!(e.kind, ErrorKind::CheckpointError);
+        assert_eq!(e.kind.exit_code(), 15);
     }
 }

@@ -245,3 +245,75 @@ fn exit_codes_follow_the_error_taxonomy() {
     assert_eq!(status.code(), Some(4), "scheme-error must exit 4");
     std::fs::remove_file(&tasks).ok();
 }
+
+#[test]
+fn deeply_nested_line_is_a_bad_request_and_the_next_is_answered() {
+    let input = format!(
+        "{}\n{{\"v\":1,\"id\":7,\"scheme\":\"auto\",\"tasks\":[[0,0,60,5e6]]}}\n",
+        "[".repeat(200_000)
+    );
+    let (out, code) = run_daemon(&["serve", "--workers", "1"], &input);
+    assert_eq!(code, 0, "the daemon must survive hostile nesting");
+    let lines: Vec<&str> = out.lines().collect();
+    assert_eq!(lines.len(), 2, "every line answered exactly once:\n{out}");
+    assert!(lines[0].contains("\"id\":null"), "{}", lines[0]);
+    assert!(
+        lines[0].contains("\"kind\":\"bad-request\""),
+        "{}",
+        lines[0]
+    );
+    assert!(lines[1].contains("\"id\":7"), "{}", lines[1]);
+    assert!(lines[1].contains("\"ok\":true"), "{}", lines[1]);
+}
+
+fn exit_code(args: &[&str]) -> i32 {
+    Command::new(BIN)
+        .args(args)
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .status()
+        .expect("spawn sdem-cli")
+        .code()
+        .unwrap_or(-1)
+}
+
+#[test]
+fn journal_failures_exit_with_checkpoint_error_for_sweep_and_replay() {
+    let dir = std::env::temp_dir().join(format!("sdem-cli-journal-exit-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let missing = dir.join("missing.jsonl");
+    let mp = missing.to_str().unwrap();
+    let sweep = [
+        "sweep", "--figure", "fig7a", "--tasks", "6", "--trials", "2",
+    ];
+    let replay = ["replay", "--events", "8", "--workers", "1"];
+
+    // A journal that does not exist.
+    assert_eq!(exit_code(&[&sweep[..], &["--resume", mp]].concat()), 15);
+    assert_eq!(exit_code(&[&replay[..], &["--resume", mp]].concat()), 15);
+
+    // A journal written by a different run (header mismatch).
+    let ckpt = dir.join("ckpt.jsonl");
+    let cp = ckpt.to_str().unwrap();
+    let halted = [&sweep[..], &["--checkpoint", cp, "--halt-after", "3"]].concat();
+    assert_eq!(exit_code(&halted), 0);
+    let other_sweep = [
+        "sweep", "--figure", "fig7a", "--tasks", "6", "--trials", "3",
+    ];
+    assert_eq!(
+        exit_code(&[&other_sweep[..], &["--resume", cp]].concat()),
+        15
+    );
+
+    let journal = dir.join("replay.journal");
+    let jp = journal.to_str().unwrap();
+    let halted = [&replay[..], &["--journal", jp, "--halt-after", "3"]].concat();
+    assert_eq!(exit_code(&halted), 0);
+    let other_replay = ["replay", "--events", "9", "--workers", "1"];
+    assert_eq!(
+        exit_code(&[&other_replay[..], &["--resume", jp]].concat()),
+        15
+    );
+
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -8,7 +8,8 @@
 //! bit-identical to an uninterrupted one regardless of where the
 //! original was interrupted or how many workers either run used.
 //!
-//! File format (one JSON object per line, written by this module only):
+//! File format (a write-ahead [`journal`](crate::journal) with this
+//! header and these records):
 //!
 //! ```text
 //! {"sdem_checkpoint":1,"grid_seed":"0x…","points":P,"replications":R}
@@ -16,23 +17,20 @@
 //! {"trial":9,"fault":{…quarantine record…}}
 //! ```
 //!
-//! Lines that fail to parse (e.g. a torn tail from a hard kill) are
-//! skipped on resume; the affected trial simply reruns.
+//! A torn tail from a hard kill is skipped on resume; its trial reruns.
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
-use crate::fault::{
-    json_hex_u64, json_str, json_string, json_usize, QuarantineRecord, SweepError, TrialFailure,
-};
+use sdem_obs::json::{self, Value};
+
+use crate::fault::{usize_at, QuarantineRecord, SweepError, TrialFailure};
+use crate::journal::Journal;
 use crate::Slot;
 
 /// Magic first-line key identifying a sweep checkpoint file.
 const HEADER_KEY: &str = "sdem_checkpoint";
 /// Checkpoint format version this build reads and writes.
-const FORMAT_VERSION: usize = 1;
+const FORMAT_VERSION: u64 = 1;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Header {
@@ -49,35 +47,30 @@ impl Header {
         )
     }
 
-    fn from_line(line: &str) -> Option<Self> {
-        if json_usize(line, HEADER_KEY)? != FORMAT_VERSION {
+    fn from_json(doc: &Value) -> Option<Self> {
+        if doc.get(HEADER_KEY).and_then(Value::as_u64)? != FORMAT_VERSION {
             return None;
         }
         Some(Self {
-            grid_seed: json_hex_u64(line, "grid_seed")?,
-            points: json_usize(line, "points")?,
-            replications: json_usize(line, "replications")?,
+            grid_seed: doc.get("grid_seed").and_then(Value::as_hex_u64)?,
+            points: usize_at(doc, "points")?,
+            replications: usize_at(doc, "replications")?,
         })
     }
 }
 
-/// One journaled trial, as loaded back on resume.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Entry {
-    /// A successful trial with its domain-encoded result.
-    Done(String),
-    /// A quarantined trial with its full record.
-    Fault(QuarantineRecord),
-}
-
-fn entry_from_line(line: &str) -> Option<(usize, Entry)> {
-    let trial = json_usize(line, "trial")?;
-    if let Some(encoded) = json_str(line, "ok") {
-        return Some((trial, Entry::Done(encoded)));
+/// One journaled trial: its index and its outcome, a successful result
+/// still in its journaled encoding.
+fn entry_from_json(doc: &Value) -> Option<(usize, Result<String, TrialFailure>)> {
+    let trial = usize_at(doc, "trial")?;
+    if let Some(encoded) = doc.get("ok").and_then(Value::as_str) {
+        return Some((trial, Ok(encoded.to_string())));
     }
-    let (_, rest) = line.split_once("\"fault\":")?;
-    let record = QuarantineRecord::from_json_line(rest)?;
-    Some((trial, Entry::Fault(record)))
+    let record = QuarantineRecord::from_json(doc.get("fault")?)?;
+    let failure = TrialFailure::new(record.kind, record.detail)
+        .with_seed(record.seed)
+        .with_config(record.config);
+    Some((trial, Err(failure)))
 }
 
 /// Incremental journal of finished sweep trials, for checkpoint/resume.
@@ -90,11 +83,11 @@ fn entry_from_line(line: &str) -> Option<(usize, Entry)> {
 #[derive(Debug)]
 pub struct CheckpointJournal {
     path: PathBuf,
-    resume: bool,
-    header: Option<Header>,
-    entries: Vec<(usize, Entry)>,
-    writer: Option<Mutex<BufWriter<File>>>,
-    io_error: Mutex<Option<String>>,
+    /// The interrupted run's header, when resumed.
+    resumed: Option<Header>,
+    entries: Vec<(usize, Result<String, TrialFailure>)>,
+    /// Open once the sweep starts (fresh) or once loaded (resumed).
+    journal: Option<Journal>,
 }
 
 impl CheckpointJournal {
@@ -103,11 +96,9 @@ impl CheckpointJournal {
     pub fn new(path: impl Into<PathBuf>) -> Self {
         Self {
             path: path.into(),
-            resume: false,
-            header: None,
+            resumed: None,
             entries: Vec::new(),
-            writer: None,
-            io_error: Mutex::new(None),
+            journal: None,
         }
     }
 
@@ -118,33 +109,20 @@ impl CheckpointJournal {
     /// does not start with a checkpoint header.
     pub fn resume(path: impl Into<PathBuf>) -> Result<Self, SweepError> {
         let path = path.into();
-        let err = |detail: String| SweepError::Checkpoint {
-            path: path.display().to_string(),
-            detail,
-        };
-        let file = File::open(&path).map_err(|e| err(format!("cannot open: {e}")))?;
-        let mut lines = BufReader::new(file).lines();
-        let first = match lines.next() {
-            Some(Ok(line)) => line,
-            Some(Err(e)) => return Err(err(format!("cannot read: {e}"))),
-            None => return Err(err("file is empty".into())),
-        };
-        let header = Header::from_line(&first)
-            .ok_or_else(|| err("missing or unreadable checkpoint header".into()))?;
         let mut entries = Vec::new();
-        for line in lines {
-            let line = line.map_err(|e| err(format!("cannot read: {e}")))?;
-            if let Some(entry) = entry_from_line(&line) {
-                entries.push(entry);
-            }
-        }
+        let (journal, header) = Journal::resume(
+            &path,
+            |doc| {
+                Header::from_json(doc)
+                    .ok_or_else(|| "missing or unreadable checkpoint header".to_string())
+            },
+            |doc| entries.extend(entry_from_json(doc)),
+        )?;
         Ok(Self {
             path,
-            resume: true,
-            header: Some(header),
+            resumed: Some(header),
             entries,
-            writer: None,
-            io_error: Mutex::new(None),
+            journal: Some(journal),
         })
     }
 
@@ -158,9 +136,9 @@ impl CheckpointJournal {
         self.entries.len()
     }
 
-    /// Validates the journal against the sweep's dimensions, converts
-    /// loaded entries into preloaded slots, and opens the file for
-    /// appending (creating it with a header when fresh).
+    /// Validates the journal against the sweep's dimensions and converts
+    /// loaded entries into preloaded slots; a fresh journal is created
+    /// with its header instead.
     pub(crate) fn prepare<T>(
         &mut self,
         grid_seed: u64,
@@ -173,115 +151,75 @@ impl CheckpointJournal {
             points,
             replications,
         };
-        let mut slots = Vec::with_capacity(self.entries.len());
-        if self.resume {
-            let stored = self.header.expect("resumed journal always has a header");
-            if stored != header {
-                return Err(SweepError::CheckpointMismatch {
-                    detail: format!(
-                        "checkpoint recorded grid_seed {:#x}, {} points × {} reps; \
-                         this sweep has grid_seed {:#x}, {} points × {} reps",
-                        stored.grid_seed,
-                        stored.points,
-                        stored.replications,
-                        header.grid_seed,
-                        header.points,
-                        header.replications
-                    ),
-                });
-            }
-            for (trial, entry) in self.entries.drain(..) {
-                let slot = match entry {
-                    Entry::Done(encoded) => {
-                        let value = decode(&encoded).ok_or_else(|| SweepError::Checkpoint {
-                            path: self.path.display().to_string(),
-                            detail: format!("trial {trial}: undecodable journaled result"),
-                        })?;
-                        Slot::Done(value)
-                    }
-                    Entry::Fault(record) => {
-                        let mut failure =
-                            TrialFailure::new(record.kind, record.detail).with_seed(record.seed);
-                        failure.config = record.config;
-                        Slot::Fault(failure)
-                    }
-                };
-                slots.push((trial, slot));
-            }
-            let file = OpenOptions::new()
-                .append(true)
-                .open(&self.path)
-                .map_err(|e| SweepError::Checkpoint {
-                    path: self.path.display().to_string(),
-                    detail: format!("cannot reopen for append: {e}"),
-                })?;
-            self.writer = Some(Mutex::new(BufWriter::new(file)));
-        } else {
-            let file = File::create(&self.path).map_err(|e| SweepError::Checkpoint {
-                path: self.path.display().to_string(),
-                detail: format!("cannot create: {e}"),
-            })?;
-            let mut writer = BufWriter::new(file);
-            writeln!(writer, "{}", header.to_line())
-                .and_then(|()| writer.flush())
-                .map_err(|e| SweepError::Checkpoint {
-                    path: self.path.display().to_string(),
-                    detail: format!("cannot write header: {e}"),
-                })?;
-            self.header = Some(header);
-            self.writer = Some(Mutex::new(writer));
+        let Some(stored) = self.resumed else {
+            self.journal = Some(Journal::create(&self.path, &header.to_line())?);
+            return Ok(Vec::new());
+        };
+        if stored != header {
+            return Err(SweepError::CheckpointMismatch {
+                detail: format!(
+                    "checkpoint recorded grid_seed {:#x}, {} points × {} reps; \
+                     this sweep has grid_seed {:#x}, {} points × {} reps",
+                    stored.grid_seed,
+                    stored.points,
+                    stored.replications,
+                    header.grid_seed,
+                    header.points,
+                    header.replications
+                ),
+            });
         }
-        Ok(slots)
+        let path = &self.path;
+        self.entries
+            .drain(..)
+            .map(|(trial, entry)| match entry {
+                Ok(encoded) => decode(&encoded)
+                    .map(|value| (trial, Slot::Done(value)))
+                    .ok_or_else(|| SweepError::Checkpoint {
+                        path: path.display().to_string(),
+                        detail: format!("trial {trial}: undecodable journaled result"),
+                    }),
+                Err(failure) => Ok((trial, Slot::Fault(failure))),
+            })
+            .collect()
     }
 
-    /// Journals a successful trial. IO errors are latched (the sweep
-    /// keeps running) and surfaced by [`Self::take_error`] at the end.
+    /// Journals a successful trial; IO errors surface at the end
+    /// through [`Self::take_error`].
     pub(crate) fn append_ok(&self, trial: usize, encoded: &str) {
-        self.append_line(&format!(
+        self.append(&format!(
             "{{\"trial\":{trial},\"ok\":{}}}",
-            json_string(encoded)
+            json::quote(encoded)
         ));
     }
 
     /// Journals a quarantined trial.
     pub(crate) fn append_fault(&self, trial: usize, record: &QuarantineRecord) {
-        self.append_line(&format!(
+        self.append(&format!(
             "{{\"trial\":{trial},\"fault\":{}}}",
             record.to_json_line()
         ));
     }
 
-    fn append_line(&self, line: &str) {
-        let Some(writer) = &self.writer else { return };
-        let mut w = writer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let outcome = writeln!(w, "{line}").and_then(|()| w.flush());
-        if let Err(e) = outcome {
-            let mut latch = self
-                .io_error
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            latch.get_or_insert_with(|| e.to_string());
+    fn append(&self, line: &str) {
+        if let Some(journal) = &self.journal {
+            journal.append(line);
         }
     }
 
     /// First journaling IO error hit during the sweep, if any.
     pub(crate) fn take_error(&self) -> Option<SweepError> {
-        let mut latch = self
-            .io_error
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        latch.take().map(|detail| SweepError::Checkpoint {
-            path: self.path.display().to_string(),
-            detail: format!("write failed: {detail}"),
-        })
+        self.journal.as_ref()?.take_error().map(SweepError::from)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn entry_from_line(line: &str) -> Option<(usize, Result<String, TrialFailure>)> {
+        entry_from_json(&json::parse(line).ok()?)
+    }
 
     #[test]
     fn header_round_trips() {
@@ -290,17 +228,15 @@ mod tests {
             points: 3,
             replications: 5,
         };
-        assert_eq!(Header::from_line(&h.to_line()), Some(h));
-        assert_eq!(Header::from_line("{\"trial\":1,\"ok\":\"x\"}"), None);
+        let parse = |line: &str| Header::from_json(&json::parse(line).unwrap());
+        assert_eq!(parse(&h.to_line()), Some(h));
+        assert_eq!(parse("{\"trial\":1,\"ok\":\"x\"}"), None);
     }
 
     #[test]
     fn entries_round_trip_and_torn_lines_are_skipped() {
         let ok = "{\"trial\":4,\"ok\":\"dead beef\"}";
-        assert_eq!(
-            entry_from_line(ok),
-            Some((4, Entry::Done("dead beef".into())))
-        );
+        assert_eq!(entry_from_line(ok), Some((4, Ok("dead beef".into()))));
         let record = QuarantineRecord {
             trial_index: 9,
             point: 1,
@@ -312,8 +248,15 @@ mod tests {
             config: "--x 1".into(),
         };
         let fault = format!("{{\"trial\":9,\"fault\":{}}}", record.to_json_line());
-        assert_eq!(entry_from_line(&fault), Some((9, Entry::Fault(record))));
+        let failure = TrialFailure::new("solver-panic", "boom")
+            .with_seed(11)
+            .with_config("--x 1");
+        assert_eq!(entry_from_line(&fault), Some((9, Err(failure))));
         assert_eq!(entry_from_line("{\"trial\":9,\"ok\":\"tor"), None);
         assert_eq!(entry_from_line(""), None);
+        // Torn prefixes of the record never parse.
+        for cut in 0..fault.len() {
+            assert_eq!(entry_from_line(&fault[..cut]), None, "torn prefix {cut}");
+        }
     }
 }

@@ -10,7 +10,10 @@
 
 use core::fmt;
 
+use sdem_obs::json::{self, Value};
 use sdem_types::ErrorKind;
+
+use crate::journal::JournalError;
 
 /// Panic-message prefix that escalates a contained panic into a fatal
 /// sweep abort.
@@ -139,9 +142,9 @@ impl QuarantineRecord {
             self.replicate,
             self.grid_seed,
             self.seed,
-            json_string(&self.kind),
-            json_string(&self.detail),
-            json_string(&self.config),
+            json::quote(&self.kind),
+            json::quote(&self.detail),
+            json::quote(&self.config),
         )
     }
 
@@ -153,15 +156,22 @@ impl QuarantineRecord {
 
     /// Parses a record from a line produced by [`Self::to_json_line`].
     pub fn from_json_line(line: &str) -> Option<Self> {
+        Self::from_json(&json::parse(line).ok()?)
+    }
+
+    /// Decodes a record from its parsed JSON object.
+    pub(crate) fn from_json(doc: &Value) -> Option<Self> {
+        let text = |key: &str| doc.get(key).and_then(Value::as_str).map(str::to_string);
+        let hex = |key: &str| doc.get(key).and_then(Value::as_hex_u64);
         Some(Self {
-            trial_index: json_usize(line, "trial")?,
-            point: json_usize(line, "point")?,
-            replicate: json_usize(line, "replicate")?,
-            grid_seed: json_hex_u64(line, "grid_seed")?,
-            seed: json_hex_u64(line, "seed")?,
-            kind: json_str(line, "kind")?,
-            detail: json_str(line, "detail")?,
-            config: json_str(line, "config")?,
+            trial_index: usize_at(doc, "trial")?,
+            point: usize_at(doc, "point")?,
+            replicate: usize_at(doc, "replicate")?,
+            grid_seed: hex("grid_seed")?,
+            seed: hex("seed")?,
+            kind: text("kind")?,
+            detail: text("detail")?,
+            config: text("config")?,
         })
     }
 }
@@ -233,72 +243,18 @@ impl fmt::Display for SweepError {
 
 impl std::error::Error for SweepError {}
 
-/// Escapes and quotes a string as a JSON string literal.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+impl From<JournalError> for SweepError {
+    fn from(e: JournalError) -> Self {
+        Self::Checkpoint {
+            path: e.path,
+            detail: e.detail,
         }
     }
-    out.push('"');
-    out
 }
 
-/// Locates the raw value text following `"key":` in one of our own
-/// JSON lines. Returns the remainder of the line starting at the value.
-fn value_after<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":");
-    let start = line.find(&needle)? + needle.len();
-    Some(&line[start..])
-}
-
-/// Parses an unsigned decimal field from one of our own JSON lines.
-pub(crate) fn json_usize(line: &str, key: &str) -> Option<usize> {
-    let rest = value_after(line, key)?;
-    let end = rest.find(|c: char| !c.is_ascii_digit())?;
-    rest[..end].parse().ok()
-}
-
-/// Parses a `"0x…"` hex string field from one of our own JSON lines.
-pub(crate) fn json_hex_u64(line: &str, key: &str) -> Option<u64> {
-    let s = json_str(line, key)?;
-    u64::from_str_radix(s.strip_prefix("0x")?, 16).ok()
-}
-
-/// Parses a quoted, escaped string field from one of our own JSON lines.
-pub(crate) fn json_str(line: &str, key: &str) -> Option<String> {
-    let rest = value_after(line, key)?;
-    let rest = rest.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
+/// An unsigned integer member of a parsed JSON object.
+pub(crate) fn usize_at(doc: &Value, key: &str) -> Option<usize> {
+    usize::try_from(doc.get(key)?.as_u64()?).ok()
 }
 
 #[cfg(test)]

@@ -20,10 +20,11 @@
 //!   state, and records the failure as a replayable [`QuarantineRecord`]
 //!   instead of aborting the sweep; uncontained worker deaths surface as
 //!   [`SweepError::WorkerPanicked`] after every worker has been joined.
-//! * **Checkpoint/resume** — a [`CheckpointJournal`] logs each finished
-//!   trial as it completes, and a resumed sweep replays the journal and
-//!   executes only the remainder, bit-identically to an uninterrupted
-//!   run (seeds are derived, never sequential).
+//! * **Checkpoint/resume** — a [`CheckpointJournal`] (over the shared
+//!   write-ahead [`journal`]) logs each finished trial as it completes,
+//!   and a resumed sweep replays the journal and executes only the
+//!   remainder, bit-identically to an uninterrupted run (seeds are
+//!   derived, never sequential).
 //!
 //! The entry point is [`SweepRunner::run`], which takes the grid points,
 //! the replication count and a trial closure, and returns the per-point
@@ -52,6 +53,7 @@
 
 mod checkpoint;
 mod fault;
+pub mod journal;
 
 pub use checkpoint::CheckpointJournal;
 pub use fault::{payload_text, QuarantineRecord, SweepError, TrialFailure, FATAL_PANIC_PREFIX};

@@ -1,5 +1,6 @@
 //! Minimal, dependency-free JSON: string escaping for the writers and a
-//! small recursive-descent parser for `sdem stats` / `sdem stats --check`.
+//! small recursive-descent parser, nesting capped at [`MAX_DEPTH`], for
+//! serve requests, journals and `sdem stats` / `sdem stats --check`.
 //!
 //! The parser accepts standard JSON (objects, arrays, strings with
 //! escapes, numbers, booleans, null) and preserves object key order. It
@@ -80,6 +81,13 @@ impl Value {
         }
     }
 
+    /// The value of a `"0x…"` hex string, the exact-`u64` spelling the
+    /// writers use for seeds and `f64` bit patterns.
+    pub fn as_hex_u64(&self) -> Option<u64> {
+        let digits = self.as_str()?.strip_prefix("0x")?;
+        u64::from_str_radix(digits, 16).ok()
+    }
+
     /// The string contents, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -122,6 +130,10 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest nesting of arrays and objects [`parse`] accepts, far above
+/// anything the workspace writes; deeper input is a [`ParseError`].
+pub const MAX_DEPTH: usize = 64;
+
 /// Parses one complete JSON document (trailing whitespace allowed).
 pub fn parse(text: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
@@ -129,7 +141,7 @@ pub fn parse(text: &str) -> Result<Value, ParseError> {
         pos: 0,
     };
     p.skip_ws();
-    let value = p.value()?;
+    let value = p.value(0)?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(p.err("trailing characters after document"));
@@ -178,10 +190,14 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Value, ParseError> {
+    /// Parses the value at `pos`, inside `depth` open arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(self.err(format!("nesting deeper than {MAX_DEPTH}")))
+            }
+            Some(b'{') => self.object(depth + 1),
+            Some(b'[') => self.array(depth + 1),
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -192,7 +208,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Value, ParseError> {
+    fn object(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.expect(b'{')?;
         let mut members = Vec::new();
         self.skip_ws();
@@ -206,7 +222,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.value()?;
+            let value = self.value(depth)?;
             members.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -220,7 +236,7 @@ impl Parser<'_> {
         }
     }
 
-    fn array(&mut self) -> Result<Value, ParseError> {
+    fn array(&mut self, depth: usize) -> Result<Value, ParseError> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -230,7 +246,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -394,9 +410,7 @@ pub fn validate_metrics(doc: &Value) -> Result<MetricsCheck, String> {
             .ok_or_else(|| format!("gauge \"{label}\": missing \"value\""))?;
         let bits = g
             .get("bits")
-            .and_then(Value::as_str)
-            .and_then(|s| s.strip_prefix("0x"))
-            .and_then(|s| u64::from_str_radix(s, 16).ok())
+            .and_then(Value::as_hex_u64)
             .ok_or_else(|| format!("gauge \"{label}\": missing or bad \"bits\""))?;
         // `value` survives a JSON round trip only to ~17 significant
         // digits; `bits` is the exact payload. They must agree to the
@@ -502,6 +516,35 @@ mod tests {
         assert!(parse("[1 2]").is_err());
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{}extra").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let at_limit = parse(&nested(MAX_DEPTH)).expect("the limit itself parses");
+        let mut value = &at_limit;
+        for _ in 1..MAX_DEPTH {
+            value = &value.as_arr().unwrap()[0];
+        }
+        assert_eq!(value, &Value::Arr(Vec::new()));
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(parse(&objects).is_ok());
+
+        let over = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(over.offset, MAX_DEPTH);
+        assert!(over.reason.contains("nesting"), "{over}");
+        assert!(parse(&"{\"a\":".repeat(MAX_DEPTH + 1)).is_err());
+        // A hostile line fails fast instead of overflowing the stack.
+        let hostile = parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(hostile.offset, MAX_DEPTH);
+    }
+
+    #[test]
+    fn hex_strings_decode_exactly() {
+        let doc = parse(r#"{"a":"0xffffffffffffffff","b":"ff","c":1}"#).unwrap();
+        assert_eq!(doc.get("a").and_then(Value::as_hex_u64), Some(u64::MAX));
+        assert_eq!(doc.get("b").and_then(Value::as_hex_u64), None);
+        assert_eq!(doc.get("c").and_then(Value::as_hex_u64), None);
     }
 
     #[test]

@@ -34,6 +34,7 @@ use sdem_core::{
     schedule_race_to_idle_in, solve_in, solve_or_fallback_in, Scheme, SdemError, Solution,
     TrialError,
 };
+use sdem_exec::journal::JournalError;
 use sdem_obs::json::{self, Value};
 use sdem_power::{CorePower, MemoryPower, Platform};
 use sdem_types::{Cycles, ErrorKind, Task, TaskSet, Time, Watts, Workspace};
@@ -96,6 +97,12 @@ impl From<SdemError> for ApiError {
 impl From<TrialError> for ApiError {
     fn from(e: TrialError) -> Self {
         Self::new(e.error_kind(), e.to_string())
+    }
+}
+
+impl From<JournalError> for ApiError {
+    fn from(e: JournalError) -> Self {
+        Self::new(e.kind(), e.to_string())
     }
 }
 

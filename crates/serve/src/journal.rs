@@ -9,8 +9,8 @@
 //! bytes the emitter would have produced, the resumed run's output is
 //! byte-identical to an uninterrupted run at any worker count.
 //!
-//! File format (one JSON object per line, same torn-tail discipline as
-//! `sdem-exec`'s sweep checkpoint):
+//! File format (a [`sdem_exec::journal`] write-ahead journal with this
+//! header and these records):
 //!
 //! ```text
 //! {"sdem_replay":1,"trace":"seed=0x7ace,…","chaos":"","events":N}
@@ -21,17 +21,12 @@
 //! The header pins the run's identity — canonical trace spec, canonical
 //! chaos spec and event count, all worker-count-independent — and resume
 //! refuses a journal whose header disagrees with the requested replay.
-//! Lines that fail to parse (a torn tail from `kill -9` mid-write) are
-//! skipped; the affected seq simply re-runs.
 
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
+use sdem_exec::journal::Journal;
 use sdem_obs::json::{self, Value};
-use sdem_types::ErrorKind;
 
 use crate::api::ApiError;
 
@@ -61,8 +56,7 @@ impl JournalHeader {
         )
     }
 
-    fn from_line(line: &str) -> Option<Self> {
-        let doc = json::parse(line).ok()?;
+    fn from_json(doc: &Value) -> Option<Self> {
         if doc.get(HEADER_KEY).and_then(Value::as_u64)? != FORMAT_VERSION {
             return None;
         }
@@ -72,10 +66,27 @@ impl JournalHeader {
             events: doc.get("events").and_then(Value::as_u64)?,
         })
     }
+
+    /// Accepts a stored header only if it names this very run.
+    fn check(stored: &Value, expected: &Self) -> Result<Self, String> {
+        let header = Self::from_json(stored).ok_or("missing or unreadable replay header")?;
+        if header != *expected {
+            return Err(format!(
+                "journal recorded trace `{}`, chaos `{}`, {} events; this replay has trace \
+                 `{}`, chaos `{}`, {} events",
+                header.trace,
+                header.chaos,
+                header.events,
+                expected.trace,
+                expected.chaos,
+                expected.events
+            ));
+        }
+        Ok(header)
+    }
 }
 
-fn entry_from_line(line: &str) -> Option<(u64, String)> {
-    let doc = json::parse(line).ok()?;
+fn entry_from_json(doc: &Value) -> Option<(u64, String)> {
     let seq = doc.get("seq").and_then(Value::as_u64)?;
     let stored = doc.get("line").and_then(Value::as_str)?.to_string();
     Some((seq, stored))
@@ -89,11 +100,9 @@ fn entry_from_line(line: &str) -> Option<(u64, String)> {
 /// every emitted line is journaled before it reaches the sink.
 #[derive(Debug)]
 pub struct ReplayJournal {
-    path: PathBuf,
+    journal: Journal,
     header: JournalHeader,
     entries: BTreeMap<u64, String>,
-    writer: Mutex<BufWriter<File>>,
-    io_error: Mutex<Option<String>>,
 }
 
 impl ReplayJournal {
@@ -105,24 +114,10 @@ impl ReplayJournal {
     /// `checkpoint-error` if the file cannot be created or the header
     /// cannot be written.
     pub fn create(path: impl Into<PathBuf>, header: JournalHeader) -> Result<Self, ApiError> {
-        let path = path.into();
-        let err = |detail: String| {
-            ApiError::new(
-                ErrorKind::CheckpointError,
-                format!("journal {}: {detail}", path.display()),
-            )
-        };
-        let file = File::create(&path).map_err(|e| err(format!("cannot create: {e}")))?;
-        let mut writer = BufWriter::new(file);
-        writeln!(writer, "{}", header.to_line())
-            .and_then(|()| writer.flush())
-            .map_err(|e| err(format!("cannot write header: {e}")))?;
         Ok(Self {
-            path,
+            journal: Journal::create(path, &header.to_line())?,
             header,
             entries: BTreeMap::new(),
-            writer: Mutex::new(writer),
-            io_error: Mutex::new(None),
         })
     }
 
@@ -138,57 +133,22 @@ impl ReplayJournal {
     /// `checkpoint-error` for unreadable files, missing headers and
     /// header mismatches.
     pub fn resume(path: impl Into<PathBuf>, expected: &JournalHeader) -> Result<Self, ApiError> {
-        let path = path.into();
-        let err = |detail: String| {
-            ApiError::new(
-                ErrorKind::CheckpointError,
-                format!("journal {}: {detail}", path.display()),
-            )
-        };
-        let file = File::open(&path).map_err(|e| err(format!("cannot open: {e}")))?;
-        let mut lines = BufReader::new(file).lines();
-        let first = match lines.next() {
-            Some(Ok(line)) => line,
-            Some(Err(e)) => return Err(err(format!("cannot read: {e}"))),
-            None => return Err(err("file is empty".into())),
-        };
-        let header = JournalHeader::from_line(&first)
-            .ok_or_else(|| err("missing or unreadable replay header".into()))?;
-        if header != *expected {
-            return Err(err(format!(
-                "journal recorded trace `{}`, chaos `{}`, {} events; this replay has trace \
-                 `{}`, chaos `{}`, {} events",
-                header.trace,
-                header.chaos,
-                header.events,
-                expected.trace,
-                expected.chaos,
-                expected.events
-            )));
-        }
         let mut entries = BTreeMap::new();
-        for line in lines {
-            let line = line.map_err(|e| err(format!("cannot read: {e}")))?;
-            if let Some((seq, stored)) = entry_from_line(&line) {
-                entries.insert(seq, stored);
-            }
-        }
-        let file = OpenOptions::new()
-            .append(true)
-            .open(&path)
-            .map_err(|e| err(format!("cannot reopen for append: {e}")))?;
-        Ok(Self {
+        let (journal, header) = Journal::resume(
             path,
+            |doc| JournalHeader::check(doc, expected),
+            |doc| entries.extend(entry_from_json(doc)),
+        )?;
+        Ok(Self {
+            journal,
             header,
             entries,
-            writer: Mutex::new(BufWriter::new(file)),
-            io_error: Mutex::new(None),
         })
     }
 
     /// Path of the journal file.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.journal.path()
     }
 
     /// The run identity the journal is bound to.
@@ -207,43 +167,23 @@ impl ReplayJournal {
         std::mem::take(&mut self.entries)
     }
 
-    /// Journals one emitted line (flushed immediately — write-ahead with
-    /// respect to the response sink). IO errors are latched, not raised:
-    /// the service keeps answering and [`Self::take_error`] surfaces the
-    /// failure at the end of the run.
+    /// Journals one emitted line, flushed before it reaches the response
+    /// sink; an IO error surfaces through [`Self::take_error`].
     pub fn append(&self, seq: u64, line: &str) {
-        let record = format!("{{\"seq\":{seq},\"line\":{}}}", json::quote(line));
-        let mut w = self
-            .writer
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        let outcome = writeln!(w, "{record}").and_then(|()| w.flush());
-        if let Err(e) = outcome {
-            let mut latch = self
-                .io_error
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner());
-            latch.get_or_insert_with(|| e.to_string());
-        }
+        self.journal
+            .append(&format!("{{\"seq\":{seq},\"line\":{}}}", json::quote(line)));
     }
 
     /// First journaling IO error hit during the run, if any.
     pub fn take_error(&self) -> Option<ApiError> {
-        let mut latch = self
-            .io_error
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner());
-        latch.take().map(|detail| {
-            ApiError::new(
-                ErrorKind::CheckpointError,
-                format!("journal {}: write failed: {detail}", self.path.display()),
-            )
-        })
+        self.journal.take_error().map(ApiError::from)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use sdem_types::ErrorKind;
+
     use super::*;
 
     fn header() -> JournalHeader {
@@ -258,12 +198,20 @@ mod tests {
         std::env::temp_dir().join(format!("sdem-journal-{name}-{}", std::process::id()))
     }
 
+    fn from_line(line: &str) -> Option<JournalHeader> {
+        JournalHeader::from_json(&json::parse(line).ok()?)
+    }
+
+    fn entry_from_line(line: &str) -> Option<(u64, String)> {
+        entry_from_json(&json::parse(line).ok()?)
+    }
+
     #[test]
     fn header_round_trips() {
         let h = header();
-        assert_eq!(JournalHeader::from_line(&h.to_line()), Some(h));
-        assert_eq!(JournalHeader::from_line("{\"seq\":0,\"line\":\"x\"}"), None);
-        assert_eq!(JournalHeader::from_line("{\"sdem_replay\":9}"), None);
+        assert_eq!(from_line(&h.to_line()), Some(h));
+        assert_eq!(from_line("{\"seq\":0,\"line\":\"x\"}"), None);
+        assert_eq!(from_line("{\"sdem_replay\":9}"), None);
     }
 
     #[test]

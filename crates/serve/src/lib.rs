@@ -25,10 +25,11 @@
 //! On top of the daemon sit the robustness layers: an injectable
 //! [`clock`] for deterministic deadline handling, a [`supervisor`] that
 //! restarts panicked workers with a budget and exponential backoff, a
-//! write-ahead response [`journal`] that makes replay runs
-//! crash-recoverable, a seeded [`chaos`] injection plan, and the
-//! [`replay`] driver that streams a generated arrival trace through the
-//! service with all of the above wired together.
+//! write-ahead response [`journal`] (over the shared
+//! [`sdem_exec::journal`]) that makes replay runs crash-recoverable, a
+//! seeded [`chaos`] injection plan, and the [`replay()`] driver that
+//! streams a generated arrival trace through the service with all of
+//! the above wired together.
 
 pub mod api;
 pub mod cache;
