@@ -329,8 +329,8 @@ fn schedule(args: &Args) -> Result<(), CliError> {
             return Err(CliError::new(
                 ErrorKind::BadRequest,
                 format!(
-                    "--fallback supports the SDEM schemes only (auto, sdem-on, \
-                     cr-*, agreeable*), not `{scheme}`"
+                    "--fallback supports the SDEM schemes only ({}), not `{scheme}`",
+                    api::SCHEME_NAMES.join(", ")
                 ),
             ))
         }

@@ -247,6 +247,43 @@ fn exit_codes_follow_the_error_taxonomy() {
 }
 
 #[test]
+fn fallback_with_a_baseline_scheme_is_a_bad_request_listing_every_sdem_scheme() {
+    let dir = std::env::temp_dir().join(format!("sdem-cli-fallback-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let tasks = dir.join("tasks.txt");
+    let tp = tasks.to_str().unwrap();
+    let status = Command::new(BIN)
+        .args([
+            "generate",
+            "--kind",
+            "agreeable",
+            "--tasks",
+            "4",
+            "--seed",
+            "7",
+        ])
+        .args(["--out", tp])
+        .stderr(Stdio::null())
+        .status()
+        .unwrap();
+    assert!(status.success());
+    let out = Command::new(BIN)
+        .args(["schedule", "--input", tp, "--scheme", "mbkp", "--fallback"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "bad-request must exit 3: {stderr}"
+    );
+    assert!(stderr.contains("error[bad-request]"), "{stderr}");
+    assert!(stderr.contains("bounded-auto"), "{stderr}");
+    assert!(stderr.contains("dag-federated"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn deeply_nested_line_is_a_bad_request_and_the_next_is_answered() {
     let input = format!(
         "{}\n{{\"v\":1,\"id\":7,\"scheme\":\"auto\",\"tasks\":[[0,0,60,5e6]]}}\n",

@@ -37,7 +37,18 @@ pub enum BlockSolverKind {
 }
 
 /// The agreeable-deadline optimal scheme (generic over `α`): DP over blocks
-/// with the default block solver.
+/// with the default block solver. This is both §5.1 and §5.2:
+///
+/// * with `platform.core().alpha() == 0` (§5.1, negligible core static
+///   power) the block objective reduces exactly to Eq. 12–14 of the paper;
+/// * with `α ≠ 0` (§5.2, core sleeping) the block objective is the
+///   best-response envelope whose flat region corresponds to the paper's
+///   *Type-I* tasks running at the critical speed `s₀`.
+///
+/// DP scratch and the returned schedule's arenas come from `ws`. The O(n²)
+/// table of per-range block solutions still allocates (each
+/// `BlockSolution` owns its run list); only the fixed-shape buffers are
+/// pooled. [`Scheme::Agreeable`](crate::Scheme::Agreeable) dispatches here.
 ///
 /// # Errors
 ///
@@ -47,7 +58,7 @@ pub enum BlockSolverKind {
 /// # Examples
 ///
 /// ```
-/// use sdem_core::agreeable::schedule;
+/// use sdem_core::{solve, Scheme};
 /// use sdem_power::Platform;
 /// use sdem_types::{Task, TaskSet, Time, Cycles};
 ///
@@ -57,27 +68,11 @@ pub enum BlockSolverKind {
 ///     Task::new(0, Time::ZERO, Time::from_millis(30.0), Cycles::new(6.0e6)),
 ///     Task::new(1, Time::from_millis(50.0), Time::from_millis(110.0), Cycles::new(9.0e6)),
 /// ])?;
-/// let sol = schedule(&tasks, &platform)?;
+/// let sol = solve(&tasks, &platform, Scheme::Agreeable)?;
 /// sol.schedule().validate(&tasks)?;
 /// # Ok(())
 /// # }
 /// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "call `solve(tasks, platform, Scheme::Agreeable)` from the crate root, or `schedule_in` to reuse a `Workspace`"
-)]
-pub fn schedule(tasks: &TaskSet, platform: &Platform) -> Result<Solution, SdemError> {
-    schedule_with_solver(tasks, platform, BlockSolverKind::BestResponse)
-}
-
-/// In-place [`schedule`]: DP scratch and the returned schedule's arenas
-/// come from `ws`. The O(n²) table of per-range block solutions still
-/// allocates (each `BlockSolution` owns its run list); only the
-/// fixed-shape buffers are pooled.
-///
-/// # Errors
-///
-/// Same as [`schedule`].
 pub fn schedule_in(
     tasks: &TaskSet,
     platform: &Platform,
@@ -90,7 +85,7 @@ pub fn schedule_in(
 ///
 /// # Errors
 ///
-/// Same as [`schedule`].
+/// Same as [`schedule_in`].
 pub fn schedule_with_solver(
     tasks: &TaskSet,
     platform: &Platform,
@@ -103,7 +98,7 @@ pub fn schedule_with_solver(
 ///
 /// # Errors
 ///
-/// Same as [`schedule`].
+/// Same as [`schedule_in`].
 pub fn schedule_with_solver_in(
     tasks: &TaskSet,
     platform: &Platform,
@@ -122,24 +117,13 @@ pub fn schedule_with_solver_in(
 ///
 /// On instances where the paper's DP already yields disjoint blocks (all
 /// we have ever observed for optimal solutions), this is identical to
-/// [`schedule`].
+/// [`schedule_in`].
+/// [`Scheme::AgreeableStrict`](crate::Scheme::AgreeableStrict) dispatches
+/// here.
 ///
 /// # Errors
 ///
-/// Same as [`schedule`].
-#[deprecated(
-    since = "0.1.0",
-    note = "call `solve(tasks, platform, Scheme::AgreeableStrict)` from the crate root, or `schedule_strict_in` to reuse a `Workspace`"
-)]
-pub fn schedule_strict(tasks: &TaskSet, platform: &Platform) -> Result<Solution, SdemError> {
-    schedule_strict_in(tasks, platform, &mut Workspace::new())
-}
-
-/// In-place [`schedule_strict`].
-///
-/// # Errors
-///
-/// Same as [`schedule`].
+/// Same as [`schedule_in`].
 pub fn schedule_strict_in(
     tasks: &TaskSet,
     platform: &Platform,
@@ -294,10 +278,6 @@ fn schedule_impl(
 
 #[cfg(test)]
 mod tests {
-    // These tests keep exercising the deprecated convenience
-    // wrappers so the legacy entry points stay covered until removal.
-    #![allow(deprecated)]
-
     use super::*;
     use sdem_power::{CorePower, MemoryPower};
     use sdem_sim::{simulate, SleepPolicy};
@@ -329,7 +309,7 @@ mod tests {
     fn far_apart_tasks_split_into_blocks() {
         let p = platform(0.0, 4.0);
         let tasks = tset(&[(0.0, 2.0, 1.0), (50.0, 52.0, 1.0)]);
-        let sol = schedule(&tasks, &p).unwrap();
+        let sol = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
         sol.schedule().validate(&tasks).unwrap();
         // Two separate busy blocks with a long sleep between them.
         assert_eq!(sol.schedule().memory_busy_intervals().len(), 2);
@@ -340,7 +320,7 @@ mod tests {
     fn overlapping_windows_merge_into_one_block() {
         let p = platform(0.0, 4.0);
         let tasks = tset(&[(0.0, 6.0, 2.0), (1.0, 8.0, 2.0), (2.0, 9.0, 2.0)]);
-        let sol = schedule(&tasks, &p).unwrap();
+        let sol = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
         sol.schedule().validate(&tasks).unwrap();
         assert_eq!(sol.schedule().memory_busy_intervals().len(), 1);
     }
@@ -349,7 +329,7 @@ mod tests {
     fn predicted_energy_close_to_simulation_alpha_zero() {
         let p = platform(0.0, 3.0);
         let tasks = tset(&[(0.0, 5.0, 2.0), (1.0, 7.0, 1.5), (10.0, 18.0, 3.0)]);
-        let sol = schedule(&tasks, &p).unwrap();
+        let sol = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let report = simulate(sol.schedule(), &tasks, &p, SleepPolicy::WhenProfitable).unwrap();
         let predicted = sol.predicted_energy().value();
         // Simulation may only be cheaper (coverage holes inside a block).
@@ -369,7 +349,7 @@ mod tests {
     fn predicted_energy_close_to_simulation_alpha_nonzero() {
         let p = platform(4.0, 6.0);
         let tasks = tset(&[(0.0, 5.0, 2.0), (1.0, 7.0, 1.5), (20.0, 32.0, 3.0)]);
-        let sol = schedule(&tasks, &p).unwrap();
+        let sol = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let report = simulate(sol.schedule(), &tasks, &p, SleepPolicy::WhenProfitable).unwrap();
         let predicted = sol.predicted_energy().value();
         assert!(
@@ -418,7 +398,7 @@ mod tests {
     fn dp_beats_single_block_and_all_singletons() {
         let p = platform(0.0, 4.0);
         let tasks = tset(&[(0.0, 4.0, 2.0), (6.0, 14.0, 3.0), (7.0, 16.0, 1.0)]);
-        let sol = schedule(&tasks, &p).unwrap();
+        let sol = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let pw = PowerParams::of(&p);
         let bts: Vec<BlockTask> = tasks
             .sorted_by_deadline()
@@ -453,7 +433,7 @@ mod tests {
             (8.0, 15.0, 1.0),
             (9.0, 20.0, 2.5),
         ]);
-        let sol = schedule(&tasks, &p).unwrap();
+        let sol = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
         let pw = PowerParams::of(&p);
         let bts: Vec<BlockTask> = tasks
             .sorted_by_deadline()
@@ -494,8 +474,8 @@ mod tests {
     fn strict_matches_plain_dp_when_blocks_are_disjoint() {
         let p = platform(4.0, 6.0);
         let tasks = tset(&[(0.0, 5.0, 2.0), (1.0, 7.0, 1.5), (20.0, 32.0, 3.0)]);
-        let plain = schedule(&tasks, &p).unwrap();
-        let strict = schedule_strict(&tasks, &p).unwrap();
+        let plain = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
+        let strict = schedule_strict_in(&tasks, &p, &mut Workspace::new()).unwrap();
         assert!(
             (plain.predicted_energy().value() - strict.predicted_energy().value()).abs()
                 <= 1e-9 * plain.predicted_energy().value(),
@@ -521,7 +501,7 @@ mod tests {
                 })
                 .collect();
             let tasks = tset(&specs);
-            let strict = schedule_strict(&tasks, &p).unwrap();
+            let strict = schedule_strict_in(&tasks, &p, &mut Workspace::new()).unwrap();
             let sim = simulate(strict.schedule(), &tasks, &p, SleepPolicy::WhenProfitable)
                 .unwrap()
                 .total()
@@ -538,7 +518,10 @@ mod tests {
     fn rejects_non_agreeable() {
         let p = platform(0.0, 1.0);
         let tasks = tset(&[(0.0, 100.0, 1.0), (10.0, 50.0, 1.0)]);
-        assert_eq!(schedule(&tasks, &p), Err(SdemError::NotAgreeable));
+        assert_eq!(
+            schedule_in(&tasks, &p, &mut Workspace::new()),
+            Err(SdemError::NotAgreeable)
+        );
     }
 
     #[test]
@@ -546,8 +529,9 @@ mod tests {
         // Agreeable DP on a common-release set must match the §4 scheme.
         let p = platform(0.0, 4.0);
         let tasks = tset(&[(0.0, 3.0, 2.0), (0.0, 5.0, 1.0), (0.0, 9.0, 4.0)]);
-        let dp = schedule(&tasks, &p).unwrap();
-        let cr = crate::common_release::schedule_alpha_zero(&tasks, &p).unwrap();
+        let dp = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
+        let cr = crate::common_release::schedule_alpha_zero_in(&tasks, &p, &mut Workspace::new())
+            .unwrap();
         let (ea, eb) = (dp.predicted_energy().value(), cr.predicted_energy().value());
         assert!(
             (ea - eb).abs() <= 1e-6 * eb.max(1.0),
@@ -562,7 +546,7 @@ mod tests {
         let mem = MemoryPower::new(Watts::new(4.0)).with_break_even(sec(100.0));
         let p = Platform::new(CorePower::simple(0.0, 1.0, 3.0), mem);
         let tasks = tset(&[(0.0, 3.0, 1.0), (4.0, 8.0, 1.0)]);
-        let sol = schedule(&tasks, &p).unwrap();
+        let sol = schedule_in(&tasks, &p, &mut Workspace::new()).unwrap();
         // A merged block means the DP planned no inter-block sleep at all
         // (the hole between the two windows stays inside one busy interval).
         assert!(
@@ -576,7 +560,7 @@ mod tests {
             CorePower::simple(0.0, 1.0, 3.0),
             MemoryPower::new(Watts::new(4.0)),
         );
-        let sol0 = schedule(&tasks, &p0).unwrap();
+        let sol0 = schedule_in(&tasks, &p0, &mut Workspace::new()).unwrap();
         assert!(sol0.memory_sleep().as_secs() > 0.0, "expected split blocks");
     }
 }

@@ -173,14 +173,10 @@ pub fn schedule_heterogeneous(
 
 #[cfg(test)]
 mod tests {
-    // These tests keep exercising the deprecated convenience
-    // wrappers so the legacy entry points stay covered until removal.
-    #![allow(deprecated)]
-
     use super::*;
-    use crate::common_release::schedule_alpha_nonzero;
+    use crate::common_release::schedule_alpha_nonzero_in;
     use sdem_power::Platform;
-    use sdem_types::{Cycles, Task, Watts};
+    use sdem_types::{Cycles, Task, Watts, Workspace};
 
     fn sec(v: f64) -> Time {
         Time::from_secs(v)
@@ -203,7 +199,9 @@ mod tests {
         let core = CorePower::simple(4.0, 1.0, 3.0);
         let memory = MemoryPower::new(Watts::new(6.0));
         let het = schedule_heterogeneous(&tasks, &[core, core, core], &memory).unwrap();
-        let hom = schedule_alpha_nonzero(&tasks, &Platform::new(core, memory)).unwrap();
+        let hom =
+            schedule_alpha_nonzero_in(&tasks, &Platform::new(core, memory), &mut Workspace::new())
+                .unwrap();
         let (a, b) = (
             het.predicted_energy().value(),
             hom.predicted_energy().value(),

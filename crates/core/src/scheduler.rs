@@ -1,11 +1,15 @@
-//! The unified scheduling API: one [`Scheduler`] trait over every scheme,
-//! a [`Scheme`] selector, and [`solve`] routing `Scheme::Auto` from the
-//! task-set shape (common release → §4/§7, agreeable → §5, general → §6).
+//! The unified scheduling API: a [`Scheme`] value names one of the paper's
+//! schemes, and [`solve`]/[`solve_in`] run it, routing [`Scheme::Auto`]
+//! from the task-set shape (common release → §4/§7, agreeable → §5,
+//! general → §6).
 //!
-//! The per-scheme free functions ([`common_release::schedule_alpha_zero`]
-//! and friends) remain the primitive layer; this module is a thin,
-//! object-safe veneer so callers — CLI, sweep engine, baselines harness —
-//! can select a scheme with a value instead of a function pointer.
+//! Each scheme has exactly one implementation — an `_in` function in its
+//! module that draws scratch and output buffers from a [`Workspace`] (for
+//! example [`common_release::schedule_alpha_zero_in`]) — and
+//! [`Scheme::solve_into`] calls it directly. The [`Scheduler`] trait is the
+//! object-safe seam over that dispatch, so harness layers such as
+//! [`crate::solve_or_fallback_with`] can take any solver (a `Scheme`, or a
+//! test double) as `&dyn Scheduler`.
 //!
 //! # Examples
 //!
@@ -35,16 +39,14 @@ use sdem_types::{TaskSet, Workspace};
 
 use crate::{agreeable, bounded, common_release, online, overhead, SdemError, Solution};
 
-/// The object-safe interface every SDEM scheme implements.
+/// The object-safe solver interface: [`Scheme`] implements it, and so can
+/// any wrapper that harness layers should treat like a scheme.
 ///
 /// A scheduler maps an instance (task set + platform) to a [`Solution`]:
 /// the explicit schedule plus the scheme's analytic energy. Schedulers are
 /// stateless values, so trait objects (`&dyn Scheduler`) are cheap to pass
 /// through harness layers.
 pub trait Scheduler {
-    /// Short stable name (for CLIs, reports and sweep labels).
-    fn name(&self) -> &'static str;
-
     /// Solves the instance.
     ///
     /// The default implementation delegates to [`Scheduler::solve_into`]
@@ -77,285 +79,62 @@ pub trait Scheduler {
     ) -> Result<Solution, SdemError>;
 }
 
-/// §4.1 optimal scheme — common release, `α = 0`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommonReleaseAlphaZero;
-
-/// §4.2 optimal scheme — common release, `α ≠ 0`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommonReleaseAlphaNonzero;
-
-/// §7 overhead-aware common-release scheme (Table 3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CommonReleaseOverhead;
-
-/// §5 agreeable-deadline DP (block best-response solver).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Agreeable;
-
-/// Overlap-free variant of the agreeable DP (DESIGN.md deviation 3).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AgreeableStrict;
-
-/// §7 overhead-aware agreeable scheme.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AgreeableOverhead;
-
-/// §6 online heuristic SDEM-ON (unbounded core pool).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Online;
-
-/// §6 online heuristic with a hard core bound.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OnlineBounded(pub usize);
-
-/// §3 bounded-core LPT heuristic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundedLpt(pub usize);
-
-/// §3 bounded-core exact partition enumeration (small instances only).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundedExact(pub usize);
-
-/// §3 bounded-core branch-and-bound — exact results (bit-identical to
-/// [`BoundedExact`] on instances both accept) up to
-/// [`bounded::BNB_LIMIT`] tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundedBnb(pub usize);
-
-/// §3 bounded-core LPT + local-search refinement (any instance size).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundedRefined(pub usize);
-
-/// Federated decomposition onto the given core budget: tasks are packed
-/// LPT-style onto cores, chopped into sequential per-core windows, and
-/// each core's window sequence is energy-minimized by the routed paper
-/// solvers (see [`crate::dag`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DagFederated(pub usize);
-
-impl Scheduler for CommonReleaseAlphaZero {
-    fn name(&self) -> &'static str {
-        "common-release-alpha-zero"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        common_release::schedule_alpha_zero_in(tasks, platform, ws)
-    }
-}
-
-impl Scheduler for CommonReleaseAlphaNonzero {
-    fn name(&self) -> &'static str {
-        "common-release-alpha-nonzero"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        common_release::schedule_alpha_nonzero_in(tasks, platform, ws)
-    }
-}
-
-impl Scheduler for CommonReleaseOverhead {
-    fn name(&self) -> &'static str {
-        "common-release-overhead"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        overhead::schedule_common_release_in(tasks, platform, ws)
-    }
-}
-
-impl Scheduler for Agreeable {
-    fn name(&self) -> &'static str {
-        "agreeable"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        agreeable::schedule_in(tasks, platform, ws)
-    }
-}
-
-impl Scheduler for AgreeableStrict {
-    fn name(&self) -> &'static str {
-        "agreeable-strict"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        agreeable::schedule_strict_in(tasks, platform, ws)
-    }
-}
-
-impl Scheduler for AgreeableOverhead {
-    fn name(&self) -> &'static str {
-        "agreeable-overhead"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        overhead::schedule_agreeable_in(tasks, platform, ws)
-    }
-}
-
-impl Scheduler for Online {
-    fn name(&self) -> &'static str {
-        "online"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        let schedule = online::schedule_online_in(tasks, platform, ws)?;
-        Ok(Solution::from_schedule_in(schedule, platform, ws))
-    }
-}
-
-impl Scheduler for OnlineBounded {
-    fn name(&self) -> &'static str {
-        "online-bounded"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        let schedule = online::schedule_online_bounded_in(tasks, platform, self.0, ws)?;
-        Ok(Solution::from_schedule_in(schedule, platform, ws))
-    }
-}
-
-impl Scheduler for BoundedLpt {
-    fn name(&self) -> &'static str {
-        "bounded-lpt"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        bounded::solve_lpt_in(tasks, platform, self.0, ws)
-    }
-}
-
-impl Scheduler for BoundedExact {
-    fn name(&self) -> &'static str {
-        "bounded-exact"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        bounded::solve_exact_in(tasks, platform, self.0, ws)
-    }
-}
-
-impl Scheduler for BoundedBnb {
-    fn name(&self) -> &'static str {
-        "bounded-bnb"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        bounded::solve_bnb_in(tasks, platform, self.0, ws)
-    }
-}
-
-impl Scheduler for BoundedRefined {
-    fn name(&self) -> &'static str {
-        "bounded-refined"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        bounded::solve_refined_in(tasks, platform, self.0, ws)
-    }
-}
-
-impl Scheduler for DagFederated {
-    fn name(&self) -> &'static str {
-        "dag-federated"
-    }
-    fn solve_into(
-        &self,
-        tasks: &TaskSet,
-        platform: &Platform,
-        ws: &mut Workspace,
-    ) -> Result<Solution, SdemError> {
-        crate::dag::solve_federated_in(tasks, platform, self.0, ws)
-    }
-}
-
-/// Scheme selector for [`solve`]: every [`Scheduler`] implementation as a
-/// value, plus [`Scheme::Auto`] routing.
+/// Scheme selector for [`solve`]: every paper scheme as a value, plus
+/// [`Scheme::Auto`] and [`Scheme::BoundedAuto`] routing. Each resolved
+/// variant runs exactly the `_in` function its doc names.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Scheme {
     /// Route from the task-set shape and the platform (see [`solve`]).
     #[default]
     Auto,
-    /// [`CommonReleaseAlphaZero`].
+    /// §4.1 optimal scheme — common release, `α = 0`
+    /// ([`common_release::schedule_alpha_zero_in`]).
     CommonReleaseAlphaZero,
-    /// [`CommonReleaseAlphaNonzero`].
+    /// §4.2 optimal scheme — common release, `α ≠ 0`
+    /// ([`common_release::schedule_alpha_nonzero_in`]).
     CommonReleaseAlphaNonzero,
-    /// [`CommonReleaseOverhead`].
+    /// §7 overhead-aware common-release scheme, Table 3
+    /// ([`overhead::schedule_common_release_in`]).
     CommonReleaseOverhead,
-    /// [`Agreeable`].
+    /// §5 agreeable-deadline DP with the block best-response solver
+    /// ([`agreeable::schedule_in`]).
     Agreeable,
-    /// [`AgreeableStrict`].
+    /// Overlap-free variant of the agreeable DP, DESIGN.md deviation 3
+    /// ([`agreeable::schedule_strict_in`]).
     AgreeableStrict,
-    /// [`AgreeableOverhead`].
+    /// §7 overhead-aware agreeable scheme
+    /// ([`overhead::schedule_agreeable_in`]).
     AgreeableOverhead,
-    /// [`Online`].
+    /// §6 online heuristic SDEM-ON on an unbounded core pool
+    /// ([`online::schedule_online_in`]).
     Online,
-    /// [`OnlineBounded`] with the given core budget.
+    /// §6 online heuristic with the given hard core budget
+    /// ([`online::schedule_online_bounded_in`]).
     OnlineBounded(usize),
-    /// [`BoundedLpt`] with the given core count.
+    /// §3 bounded-core LPT heuristic with the given core count
+    /// ([`bounded::solve_lpt_in`]).
     BoundedLpt(usize),
-    /// [`BoundedExact`] with the given core count.
+    /// §3 bounded-core exact partition enumeration with the given core
+    /// count, small instances only ([`bounded::solve_exact_in`]).
     BoundedExact(usize),
-    /// [`BoundedBnb`] with the given core count.
+    /// §3 bounded-core branch-and-bound with the given core count — exact
+    /// results, bit-identical to [`Scheme::BoundedExact`] on instances
+    /// both accept, up to [`bounded::BNB_LIMIT`] tasks
+    /// ([`bounded::solve_bnb_in`]).
     BoundedBnb(usize),
-    /// [`BoundedRefined`] with the given core count.
+    /// §3 bounded-core LPT + local-search refinement with the given core
+    /// count, any instance size ([`bounded::solve_refined_in`]).
     BoundedRefined(usize),
     /// Size-routed bounded-core tiering with the given core count:
     /// [`Scheme::resolve`] picks the strongest tier the instance size
     /// admits — exact (`n ≤` [`bounded::EXACT_LIMIT`]), branch-and-bound
     /// (`n ≤` [`bounded::BNB_LIMIT`]), else LPT + refine.
     BoundedAuto(usize),
-    /// [`DagFederated`] with the given core budget.
+    /// Federated decomposition onto the given core budget: tasks are packed
+    /// LPT-style onto cores, chopped into sequential per-core windows, and
+    /// each core's window sequence is energy-minimized by the routed paper
+    /// solvers ([`crate::dag::solve_federated_in`]).
     DagFederated(usize),
 }
 
@@ -425,26 +204,6 @@ impl Scheme {
 }
 
 impl Scheduler for Scheme {
-    fn name(&self) -> &'static str {
-        match self {
-            Scheme::Auto => "auto",
-            Scheme::CommonReleaseAlphaZero => CommonReleaseAlphaZero.name(),
-            Scheme::CommonReleaseAlphaNonzero => CommonReleaseAlphaNonzero.name(),
-            Scheme::CommonReleaseOverhead => CommonReleaseOverhead.name(),
-            Scheme::Agreeable => Agreeable.name(),
-            Scheme::AgreeableStrict => AgreeableStrict.name(),
-            Scheme::AgreeableOverhead => AgreeableOverhead.name(),
-            Scheme::Online => Online.name(),
-            Scheme::OnlineBounded(_) => OnlineBounded(0).name(),
-            Scheme::BoundedLpt(_) => BoundedLpt(0).name(),
-            Scheme::BoundedExact(_) => BoundedExact(0).name(),
-            Scheme::BoundedBnb(_) => BoundedBnb(0).name(),
-            Scheme::BoundedRefined(_) => BoundedRefined(0).name(),
-            Scheme::BoundedAuto(_) => "bounded-auto",
-            Scheme::DagFederated(_) => DagFederated(0).name(),
-        }
-    }
-
     fn solve_into(
         &self,
         tasks: &TaskSet,
@@ -461,22 +220,26 @@ impl Scheduler for Scheme {
             Scheme::Auto => unreachable!("resolve never returns Auto"),
             Scheme::BoundedAuto(_) => unreachable!("resolve never returns BoundedAuto"),
             Scheme::CommonReleaseAlphaZero => {
-                CommonReleaseAlphaZero.solve_into(tasks, platform, ws)
+                common_release::schedule_alpha_zero_in(tasks, platform, ws)
             }
             Scheme::CommonReleaseAlphaNonzero => {
-                CommonReleaseAlphaNonzero.solve_into(tasks, platform, ws)
+                common_release::schedule_alpha_nonzero_in(tasks, platform, ws)
             }
-            Scheme::CommonReleaseOverhead => CommonReleaseOverhead.solve_into(tasks, platform, ws),
-            Scheme::Agreeable => Agreeable.solve_into(tasks, platform, ws),
-            Scheme::AgreeableStrict => AgreeableStrict.solve_into(tasks, platform, ws),
-            Scheme::AgreeableOverhead => AgreeableOverhead.solve_into(tasks, platform, ws),
-            Scheme::Online => Online.solve_into(tasks, platform, ws),
-            Scheme::OnlineBounded(n) => OnlineBounded(n).solve_into(tasks, platform, ws),
-            Scheme::BoundedLpt(n) => BoundedLpt(n).solve_into(tasks, platform, ws),
-            Scheme::BoundedExact(n) => BoundedExact(n).solve_into(tasks, platform, ws),
-            Scheme::BoundedBnb(n) => BoundedBnb(n).solve_into(tasks, platform, ws),
-            Scheme::BoundedRefined(n) => BoundedRefined(n).solve_into(tasks, platform, ws),
-            Scheme::DagFederated(n) => DagFederated(n).solve_into(tasks, platform, ws),
+            Scheme::CommonReleaseOverhead => {
+                overhead::schedule_common_release_in(tasks, platform, ws)
+            }
+            Scheme::Agreeable => agreeable::schedule_in(tasks, platform, ws),
+            Scheme::AgreeableStrict => agreeable::schedule_strict_in(tasks, platform, ws),
+            Scheme::AgreeableOverhead => overhead::schedule_agreeable_in(tasks, platform, ws),
+            Scheme::Online => online::schedule_online_in(tasks, platform, ws)
+                .map(|schedule| Solution::from_schedule_in(schedule, platform, ws)),
+            Scheme::OnlineBounded(n) => online::schedule_online_bounded_in(tasks, platform, n, ws)
+                .map(|schedule| Solution::from_schedule_in(schedule, platform, ws)),
+            Scheme::BoundedLpt(n) => bounded::solve_lpt_in(tasks, platform, n, ws),
+            Scheme::BoundedExact(n) => bounded::solve_exact_in(tasks, platform, n, ws),
+            Scheme::BoundedBnb(n) => bounded::solve_bnb_in(tasks, platform, n, ws),
+            Scheme::BoundedRefined(n) => bounded::solve_refined_in(tasks, platform, n, ws),
+            Scheme::DagFederated(n) => crate::dag::solve_federated_in(tasks, platform, n, ws),
         };
         sdem_obs::registry::record_elapsed(label, clock);
         result
@@ -512,10 +275,6 @@ pub fn solve_in(
 
 #[cfg(test)]
 mod tests {
-    // These tests keep exercising the deprecated convenience
-    // wrappers so the legacy entry points stay covered until removal.
-    #![allow(deprecated)]
-
     use super::*;
     use sdem_types::{Cycles, Task, Time};
 
@@ -549,7 +308,8 @@ mod tests {
             Scheme::CommonReleaseOverhead
         );
         let auto = solve(&tasks, &platform, Scheme::Auto).unwrap();
-        let direct = overhead::schedule_common_release(&tasks, &platform).unwrap();
+        let direct =
+            overhead::schedule_common_release_in(&tasks, &platform, &mut Workspace::new()).unwrap();
         assert_eq!(auto.predicted_energy(), direct.predicted_energy());
     }
 
@@ -573,14 +333,13 @@ mod tests {
         ])
         .unwrap();
         let zoo: Vec<Box<dyn Scheduler>> = vec![
-            Box::new(CommonReleaseOverhead),
-            Box::new(Online),
-            Box::new(OnlineBounded(4)),
-            Box::new(BoundedLpt(4)),
+            Box::new(Scheme::CommonReleaseOverhead),
+            Box::new(Scheme::Online),
+            Box::new(Scheme::OnlineBounded(4)),
+            Box::new(Scheme::BoundedLpt(4)),
             Box::new(Scheme::Auto),
         ];
         for s in &zoo {
-            assert!(!s.name().is_empty());
             let sol = s.solve(&tasks, &platform).unwrap();
             assert!(sol.predicted_energy().value() > 0.0);
         }
@@ -637,12 +396,11 @@ mod tests {
         ])
         .unwrap();
         let zoo: Vec<Box<dyn Scheduler>> = vec![
-            Box::new(BoundedBnb(2)),
-            Box::new(BoundedRefined(2)),
+            Box::new(Scheme::BoundedBnb(2)),
+            Box::new(Scheme::BoundedRefined(2)),
             Box::new(Scheme::BoundedAuto(2)),
         ];
         for s in &zoo {
-            assert!(!s.name().is_empty());
             let sol = s.solve(&tasks, &platform).unwrap();
             sol.schedule().validate(&tasks).unwrap();
         }
@@ -663,7 +421,7 @@ mod tests {
             ),
         ])
         .unwrap();
-        let sol = Online.solve(&tasks, &platform).unwrap();
+        let sol = Scheme::Online.solve(&tasks, &platform).unwrap();
         assert!(
             sol.memory_sleep().value() > 0.0,
             "expected a sleeping gap, got {:?}",

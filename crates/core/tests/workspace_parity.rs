@@ -1,25 +1,20 @@
-//! Parity of the allocating entry points with their `_in` (workspace)
-//! twins on the discrete and bounded solvers' edge cases.
+//! Parity of [`solve`] (a fresh [`Workspace`] per call) with [`solve_in`]
+//! (a warm workspace reused across solves) on the discrete and bounded
+//! solvers' edge cases.
 //!
-//! The `_in` variants are the single implementation (the allocating
-//! wrappers delegate to them with a fresh [`Workspace`]), so parity is by
+//! Both entry points run the same `_in` function, so parity is by
 //! construction — these tests pin the contract anyway, exercising the
 //! shapes most likely to break buffer reuse: single tasks, tasks pinned
 //! to `s_max`, zero break-even platforms, and a workspace reused (warm)
 //! across several differently-shaped solves.
 
-// This suite's whole point is comparing the deprecated allocating
-// wrappers against their replacements, so it keeps calling them.
-#![allow(deprecated)]
-
-use sdem_core::bounded::{solve_exact, solve_exact_in, solve_lpt, solve_lpt_in};
 use sdem_core::discrete::{quantize_schedule, quantize_schedule_in, SpeedLevels};
 use sdem_core::{solve, solve_in, Scheme, SdemError, Solution};
 use sdem_power::{CorePower, MemoryPower, Platform};
 use sdem_types::{Cycles, Speed, Task, TaskSet, Time, Watts, Workspace};
 
-/// Absolute energy-parity budget between the allocating and in-place
-/// entry points (they share one implementation, so this is headroom).
+/// Absolute energy-parity budget between the fresh-workspace and
+/// warm-workspace entry points (they share one implementation, so this is headroom).
 const TOL_J: f64 = 1e-12;
 
 fn common_release(works: &[f64], deadline_s: f64) -> TaskSet {
@@ -44,7 +39,7 @@ fn zero_break_even_platform(s_up: f64) -> Platform {
 fn assert_energy_parity(a: &Solution, b: &Solution) {
     assert!(
         (a.predicted_energy().value() - b.predicted_energy().value()).abs() <= TOL_J,
-        "allocating {} J vs in-place {} J",
+        "fresh {} J vs warm {} J",
         a.predicted_energy().value(),
         b.predicted_energy().value()
     );
@@ -68,13 +63,13 @@ fn single_task_lpt_and_exact_parity() {
     let tasks = common_release(&[3.0], 2.0);
     let mut ws = Workspace::new();
     for cores in [1, 3] {
-        let a = solve_lpt(&tasks, &platform, cores).unwrap();
-        let b = solve_lpt_in(&tasks, &platform, cores, &mut ws).unwrap();
+        let a = solve(&tasks, &platform, Scheme::BoundedLpt(cores)).unwrap();
+        let b = solve_in(&tasks, &platform, Scheme::BoundedLpt(cores), &mut ws).unwrap();
         assert_energy_parity(&a, &b);
         ws.recycle_schedule(b.into_schedule());
 
-        let a = solve_exact(&tasks, &platform, cores).unwrap();
-        let b = solve_exact_in(&tasks, &platform, cores, &mut ws).unwrap();
+        let a = solve(&tasks, &platform, Scheme::BoundedExact(cores)).unwrap();
+        let b = solve_in(&tasks, &platform, Scheme::BoundedExact(cores), &mut ws).unwrap();
         assert_energy_parity(&a, &b);
         ws.recycle_schedule(b.into_schedule());
     }
@@ -90,8 +85,8 @@ fn all_tasks_at_s_max_parity_and_infeasibility_edge() {
     let tasks = common_release(&[3.0, 3.0, 3.0, 3.0], deadline);
     let mut ws = Workspace::new();
 
-    let a = solve_lpt(&tasks, &platform, 4).unwrap();
-    let b = solve_lpt_in(&tasks, &platform, 4, &mut ws).unwrap();
+    let a = solve(&tasks, &platform, Scheme::BoundedLpt(4)).unwrap();
+    let b = solve_in(&tasks, &platform, Scheme::BoundedLpt(4), &mut ws).unwrap();
     assert_energy_parity(&a, &b);
     for p in b.schedule().placements() {
         for s in p.segments() {
@@ -104,11 +99,11 @@ fn all_tasks_at_s_max_parity_and_infeasibility_edge() {
     // must agree the instance is infeasible.
     let over = common_release(&[3.0 + 1e-3, 3.0, 3.0, 3.0], deadline);
     assert!(matches!(
-        solve_lpt(&over, &platform, 4),
+        solve(&over, &platform, Scheme::BoundedLpt(4)),
         Err(SdemError::InfeasibleTask(_))
     ));
     assert!(matches!(
-        solve_lpt_in(&over, &platform, 4, &mut ws),
+        solve_in(&over, &platform, Scheme::BoundedLpt(4), &mut ws),
         Err(SdemError::InfeasibleTask(_))
     ));
 }
@@ -145,7 +140,7 @@ fn quantize_parity_on_reused_workspace() {
     // recycled by a large solve are handed to a smaller one.
     for works in [&[2.0_f64, 1.0, 0.25, 0.125][..], &[0.5][..]] {
         let tasks = common_release(works, 2.0);
-        let solution = solve_lpt_in(&tasks, &platform, 2, &mut ws).unwrap();
+        let solution = solve_in(&tasks, &platform, Scheme::BoundedLpt(2), &mut ws).unwrap();
         let a = quantize_schedule(solution.schedule(), &levels).unwrap();
         let b = quantize_schedule_in(solution.schedule(), &levels, &mut ws).unwrap();
         assert_eq!(a.placements().len(), b.placements().len());
@@ -158,7 +153,7 @@ fn quantize_parity_on_reused_workspace() {
 
     // A segment above the fastest level errors identically in both.
     let fast = common_release(&[7.9], 2.0); // forces ~3.95 Hz > 3.0 Hz
-    let solution = solve_lpt_in(&fast, &platform, 1, &mut ws).unwrap();
+    let solution = solve_in(&fast, &platform, Scheme::BoundedLpt(1), &mut ws).unwrap();
     assert!(matches!(
         quantize_schedule(solution.schedule(), &levels),
         Err(SdemError::InfeasibleTask(_))

@@ -136,10 +136,29 @@ pub struct SolveRequest {
     pub tasks: TaskSet,
 }
 
+/// Every wire/CLI scheme name [`scheme_from_name`] accepts, in the order
+/// error messages list them.
+pub const SCHEME_NAMES: &[&str] = &[
+    "auto",
+    "sdem-on",
+    "cr-alpha-zero",
+    "cr-alpha-nonzero",
+    "cr-overhead",
+    "agreeable",
+    "agreeable-strict",
+    "bounded-auto",
+    "bounded-exact",
+    "bounded-bnb",
+    "bounded-refined",
+    "bounded-lpt",
+    "dag-federated",
+];
+
 /// Maps a wire/CLI scheme name onto the [`Scheme`] enum.
 ///
-/// Only the SDEM schemes are routable here — the single-core substrate
-/// baselines (`yds`, `oa`, …) are deliberately batch-only.
+/// Only the SDEM schemes ([`SCHEME_NAMES`]) are routable here — the
+/// single-core substrate baselines (`yds`, `oa`, …) are deliberately
+/// batch-only.
 pub fn scheme_from_name(name: &str, cores: usize) -> Result<Scheme, ApiError> {
     match name {
         "auto" => Ok(Scheme::Auto),
@@ -155,13 +174,20 @@ pub fn scheme_from_name(name: &str, cores: usize) -> Result<Scheme, ApiError> {
         "bounded-refined" => Ok(Scheme::BoundedRefined(cores)),
         "bounded-lpt" => Ok(Scheme::BoundedLpt(cores)),
         "dag-federated" => Ok(Scheme::DagFederated(cores)),
-        other => Err(ApiError::bad_request(format!(
-            "unknown scheme `{other}` (expected auto, sdem-on, cr-alpha-zero, \
-             cr-alpha-nonzero, cr-overhead, agreeable, agreeable-strict, \
-             bounded-auto, bounded-exact, bounded-bnb, bounded-refined, \
-             bounded-lpt or dag-federated)"
-        ))),
+        other => Err(unknown_scheme(other)),
     }
+}
+
+/// The `bad-request` for a name outside [`SCHEME_NAMES`], listing them all.
+/// Kept out of line so the error formatting stays off the parse hot path.
+#[cold]
+#[inline(never)]
+fn unknown_scheme(name: &str) -> ApiError {
+    let (last, rest) = SCHEME_NAMES.split_last().expect("non-empty");
+    ApiError::bad_request(format!(
+        "unknown scheme `{name}` (expected {} or {last})",
+        rest.join(", ")
+    ))
 }
 
 /// Builds the service platform: the paper's Cortex-A57 cores with the
@@ -581,6 +607,85 @@ mod tests {
         assert_eq!(executed.response.scheme, "bounded-auto");
         assert_eq!(executed.response.resolved, "solve/bounded-exact");
         assert!(executed.response.energy_j > 0.0);
+    }
+
+    #[test]
+    fn every_scheme_name_parses() {
+        for &name in SCHEME_NAMES {
+            assert!(scheme_from_name(name, 4).is_ok(), "`{name}` must parse");
+        }
+        let err = scheme_from_name("bogus", 4).unwrap_err();
+        for &name in SCHEME_NAMES {
+            assert!(err.detail.contains(name), "{}", err.detail);
+        }
+    }
+
+    /// A request line with `n` identical tasks sharing one release and one
+    /// deadline: common-release, agreeable and bounded-core at once, so
+    /// every wire scheme accepts it.
+    fn shared_window_request(id: u64, scheme: &str, n: usize) -> String {
+        let tasks: Vec<String> = (0..n).map(|i| format!("[{i},0.0,80.0,1e6]")).collect();
+        format!(
+            "{{\"v\":1,\"id\":{id},\"scheme\":\"{scheme}\",\"cores\":4,\"tasks\":[{}]}}",
+            tasks.join(",")
+        )
+    }
+
+    #[test]
+    fn every_wire_scheme_pins_its_resolved_label() {
+        let table: &[(&str, usize, &str)] = &[
+            ("auto", 2, "solve/common-release-overhead"),
+            ("sdem-on", 2, "solve/online-bounded"),
+            ("cr-alpha-zero", 2, "solve/common-release-alpha-zero"),
+            ("cr-alpha-nonzero", 2, "solve/common-release-alpha-nonzero"),
+            ("cr-overhead", 2, "solve/common-release-overhead"),
+            ("agreeable", 2, "solve/agreeable"),
+            ("agreeable-strict", 2, "solve/agreeable-strict"),
+            ("bounded-auto", 2, "solve/bounded-exact"),
+            ("bounded-auto", 15, "solve/bounded-bnb"),
+            ("bounded-auto", 25, "solve/bounded-refined"),
+            ("bounded-exact", 2, "solve/bounded-exact"),
+            ("bounded-bnb", 2, "solve/bounded-bnb"),
+            ("bounded-refined", 2, "solve/bounded-refined"),
+            ("bounded-lpt", 2, "solve/bounded-lpt"),
+            ("dag-federated", 2, "solve/dag-federated"),
+        ];
+        for &name in SCHEME_NAMES {
+            assert!(
+                table.iter().any(|row| row.0 == name),
+                "`{name}` has no pinned label"
+            );
+        }
+        for (id, &(name, n, resolved)) in table.iter().enumerate() {
+            let req = SolveRequest::parse_line(&shared_window_request(id as u64, name, n)).unwrap();
+            let platform = req.platform().unwrap();
+            let executed = execute(&req, &platform).unwrap();
+            assert_eq!(executed.response.scheme, name);
+            assert_eq!(executed.response.resolved, resolved, "{name} at n = {n}");
+            assert!(!executed.response.degraded, "{name} at n = {n}");
+        }
+        // One label per scheme: no two variants share a wire name.
+        let schemes = [
+            Scheme::Auto,
+            Scheme::CommonReleaseAlphaZero,
+            Scheme::CommonReleaseAlphaNonzero,
+            Scheme::CommonReleaseOverhead,
+            Scheme::Agreeable,
+            Scheme::AgreeableStrict,
+            Scheme::AgreeableOverhead,
+            Scheme::Online,
+            Scheme::OnlineBounded(1),
+            Scheme::BoundedLpt(1),
+            Scheme::BoundedExact(1),
+            Scheme::BoundedBnb(1),
+            Scheme::BoundedRefined(1),
+            Scheme::BoundedAuto(1),
+            Scheme::DagFederated(1),
+        ];
+        let mut labels: Vec<&str> = schemes.iter().map(|s| s.solve_label()).collect();
+        labels.sort_unstable();
+        labels.dedup();
+        assert_eq!(labels.len(), schemes.len(), "{labels:?}");
     }
 
     #[test]
