@@ -63,7 +63,7 @@ fn bench_extensions(platform: &Platform) {
         quantize_schedule(&sched, &table).unwrap()
     });
 
-    // Bounded-core: exact enumeration vs LPT.
+    // Bounded-core: the exact tier (served by the branch-and-bound) vs LPT.
     let small = synthetic::common_release(&cfg(10), 9);
     let common_deadline = sdem_types::TaskSet::new(
         small

@@ -23,7 +23,7 @@ use sdem_core::{solve, solve_in, Scheme};
 use sdem_power::Platform;
 use sdem_types::{TaskSet, Time, Workspace};
 use sdem_workload::paper;
-use sdem_workload::synthetic::{sporadic, SyntheticConfig};
+use sdem_workload::synthetic::{agreeable, sporadic, SyntheticConfig};
 
 /// A [`System`]-backed allocator that counts calls and bytes.
 struct CountingAlloc;
@@ -131,8 +131,9 @@ fn main() {
     }
 
     // The bounded tiers, one size class per tier: BoundedAuto routes the
-    // small set to the enumerator, the middle one to the branch-and-bound
-    // and the large one to LPT + refine. Each must be allocation-free on
+    // small set to bounded-exact (served by the branch-and-bound within
+    // the enumerator's limit), the middle one to the branch-and-bound and
+    // the large one to LPT + refine. Each must be allocation-free on
     // the warmed workspace path, searches included.
     for (tier, n) in [("exact", 12usize), ("bnb", 18), ("refined", 200)] {
         let deadline = Time::from_millis(400.0);
@@ -168,6 +169,33 @@ fn main() {
             after.0, 0.0,
             "bounded tier {tier} (n = {n}) must be allocation-free on the \
              warmed workspace path (got {} allocs/trial)",
+            after.0
+        );
+    }
+    println!();
+
+    // The agreeable DP (§5, here its §7 overhead-aware entry with the
+    // best-response block solver): block-task rows, bound terms, the
+    // per-prefix table, cuts and runs all come from the workspace pools.
+    {
+        let agreeable_set = agreeable(&SyntheticConfig::paper(10, Time::from_millis(400.0)), 7);
+        let scheme = Scheme::AgreeableOverhead;
+        assert_eq!(scheme.resolve(&agreeable_set, &platform), scheme);
+        let mut ws = Workspace::new();
+        for _ in 0..8 {
+            let warm = solve_in(&agreeable_set, &platform, scheme, &mut ws).unwrap();
+            ws.recycle_schedule(warm.into_schedule());
+        }
+        let after = count_per_iter(ITERS, || {
+            let s = solve_in(&agreeable_set, &platform, scheme, &mut ws).unwrap();
+            std::hint::black_box(&s);
+            ws.recycle_schedule(s.into_schedule());
+        });
+        report("solve_in/AgreeableOverhead n=10 (warmed workspace)", after);
+        assert_eq!(
+            after.0, 0.0,
+            "the agreeable DP must be allocation-free on the warmed \
+             workspace path (got {} allocs/trial)",
             after.0
         );
     }
@@ -221,12 +249,18 @@ fn main() {
             scaffold.0
         );
         // Multi-task cores chop sequential windows, which route the
-        // per-core solves to the agreeable DP — not yet pool-backed, so
-        // this row is informational (tracks the DP's heap traffic).
+        // per-core solves (through `Scheme::Auto`) to the agreeable DP.
         let chopped = measure(&federated_set(24), 4);
         report(
             "solve_in/DagFederated(4) n=24 (warmed, agreeable DP)",
             chopped,
+        );
+        assert_eq!(
+            chopped.0, 0.0,
+            "the federated path through the agreeable DP must be \
+             allocation-free on the warmed workspace path (got {} \
+             allocs/trial)",
+            chopped.0
         );
     }
     println!();

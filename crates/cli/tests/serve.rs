@@ -284,6 +284,82 @@ fn fallback_with_a_baseline_scheme_is_a_bad_request_listing_every_sdem_scheme() 
 }
 
 #[test]
+fn serve_metrics_count_agreeable_blocks_and_bounded_exact_nodes() {
+    let dir = std::env::temp_dir().join("sdem-cli-serve-solver-counters");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("serve_metrics.json");
+    let mp = path.to_str().unwrap();
+    // Twelve agreeable tasks with staggered windows (the DP prunes most
+    // candidate blocks) and one bounded-exact request (the B&B counts it).
+    let agreeable: Vec<String> = (0..12)
+        .map(|i| format!("[{i},{},{},5e6]", 30 * i, 30 * i + 50))
+        .collect();
+    let input = format!(
+        "{{\"v\":1,\"id\":0,\"scheme\":\"agreeable\",\"tasks\":[{}]}}\n\
+         {{\"v\":1,\"id\":1,\"scheme\":\"bounded-exact\",\"cores\":2,\
+         \"tasks\":[[0,0,80,4e6],[1,0,80,3e6],[2,0,80,2e6],[3,0,80,1e6]]}}\n",
+        agreeable.join(",")
+    );
+    let (out, code) = run_daemon(&["serve", "--workers", "1", "--metrics", mp], &input);
+    assert_eq!(code, 0);
+    assert_eq!(out.matches("\"ok\":true").count(), 2, "{out}");
+    let text = std::fs::read_to_string(&path).unwrap();
+    let counter = |name: &str| -> u64 {
+        let key = format!("\"{name}\": ");
+        let at = text
+            .find(&key)
+            .unwrap_or_else(|| panic!("{name} missing:\n{text}"));
+        let digits: String = text[at + key.len()..]
+            .chars()
+            .take_while(char::is_ascii_digit)
+            .collect();
+        digits.parse().unwrap()
+    };
+    assert!(counter("agreeable/blocks_solved") > 0, "{text}");
+    assert!(counter("agreeable/blocks_pruned") > 0, "{text}");
+    assert!(counter("bounded/nodes_expanded") > 0, "{text}");
+
+    let out = Command::new(BIN)
+        .args(["stats", "--input", mp, "--check"])
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let summary = String::from_utf8(out.stdout).unwrap();
+    assert!(
+        summary.contains("counter agreeable/blocks_pruned"),
+        "{summary}"
+    );
+    assert!(summary.contains("check: OK"), "{summary}");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn bounded_exact_refusals_keep_their_bytes() {
+    // `bounded-exact` is served by the branch-and-bound but keeps the
+    // enumerator's limit and error order; its refusals are pinned to the
+    // exact bytes the enumerator-backed daemon wrote.
+    let request = |id: u64, n: usize, cores: usize| {
+        let tasks: Vec<String> = (0..n).map(|k| format!("[{k},0.0,80.0,1e6]")).collect();
+        format!(
+            "{{\"v\":1,\"id\":{id},\"scheme\":\"bounded-exact\",\"cores\":{cores},\"tasks\":[{}]}}\n",
+            tasks.join(",")
+        )
+    };
+    let input = request(0, 15, 4) + &request(1, 3, 0) + &request(2, 15, 0);
+    let (out, code) = run_daemon(&["serve", "--workers", "1"], &input);
+    assert_eq!(code, 0);
+    assert_eq!(
+        out,
+        "{\"v\":1,\"id\":0,\"ok\":false,\"error\":{\"kind\":\"scheme-error\",\
+         \"detail\":\"exact bounded-core solver handles at most 14 tasks, got 15\"}}\n\
+         {\"v\":1,\"id\":1,\"ok\":false,\"error\":{\"kind\":\"bad-request\",\
+         \"detail\":\"`cores` must be a positive integer\"}}\n\
+         {\"v\":1,\"id\":2,\"ok\":false,\"error\":{\"kind\":\"bad-request\",\
+         \"detail\":\"`cores` must be a positive integer\"}}\n"
+    );
+}
+
+#[test]
 fn deeply_nested_line_is_a_bad_request_and_the_next_is_answered() {
     let input = format!(
         "{}\n{{\"v\":1,\"id\":7,\"scheme\":\"auto\",\"tasks\":[[0,0,60,5e6]]}}\n",

@@ -259,14 +259,27 @@ fn solve_cell(
 /// The paper-faithful block solver: enumerates all `(i, j)` cells, runs the
 /// five-step scheme in each, and returns the best candidate (Theorem 4).
 pub(crate) fn solve(tasks: &[BlockTask], pw: &PowerParams) -> BlockSolution {
+    solve_into(tasks, pw, &mut Vec::new())
+}
+
+/// [`solve`], also writing the per-task `(start, length)` runs into `runs`
+/// (cleared first, parallel to `tasks`). The runs depend on which tasks
+/// the winning cell evicted, so they come from the search itself; the
+/// search is deterministic, so a re-solve reproduces them exactly.
+pub(crate) fn solve_into(
+    tasks: &[BlockTask],
+    pw: &PowerParams,
+    runs: &mut Vec<(f64, f64)>,
+) -> BlockSolution {
+    runs.clear();
     let live: Vec<&BlockTask> = tasks.iter().filter(|t| t.w > 0.0).collect();
     if live.is_empty() {
         let s = tasks.first().map_or(0.0, |t| t.r);
+        runs.extend(tasks.iter().map(|t| (t.r, 0.0)));
         return BlockSolution {
             s,
             e: s,
             energy: 0.0,
-            runs: tasks.iter().map(|t| (t.r, 0.0)).collect(),
         };
     }
     let r1 = live[0].r;
@@ -333,7 +346,7 @@ pub(crate) fn solve(tasks: &[BlockTask], pw: &PowerParams) -> BlockSolution {
 
     let (s, e, evicted, energy) = best.expect("the full-interval cell is feasible");
     let cts = cell_tasks(s, e);
-    let mut runs = vec![(0.0, 0.0); tasks.len()];
+    runs.resize(tasks.len(), (0.0, 0.0));
     for t in tasks {
         runs[index_of(tasks, t)] = (t.r.max(s), 0.0);
     }
@@ -351,7 +364,7 @@ pub(crate) fn solve(tasks: &[BlockTask], pw: &PowerParams) -> BlockSolution {
         };
         runs[slot] = (start, len);
     }
-    BlockSolution { s, e, energy, runs }
+    BlockSolution { s, e, energy }
 }
 
 fn index_of(tasks: &[BlockTask], t: &BlockTask) -> usize {
@@ -434,10 +447,11 @@ mod tests {
         // at s₀ when it cannot align cheaply).
         let p = pw(4.0, 1.0);
         let tasks = vec![bt(0, 0.0, 2.0, 3.8), bt(1, 0.0, 40.0, 1.0)];
-        let sol = solve(&tasks, &p);
+        let mut runs = Vec::new();
+        solve_into(&tasks, &p, &mut runs);
         // The loose task's run should be close to w/s₀ = 1/2^{1/3}.
         let crit = 1.0 / 2.0f64.powf(1.0 / 3.0);
-        let run1 = sol.runs[1].1;
+        let run1 = runs[1].1;
         assert!(
             (run1 - crit).abs() < 1e-3 || run1 >= crit,
             "loose task run {run1} vs critical {crit}"
@@ -447,9 +461,10 @@ mod tests {
     #[test]
     fn zero_work_block_is_trivial() {
         let p = pw(4.0, 1.0);
-        let sol = solve(&[bt(0, 1.0, 2.0, 0.0)], &p);
+        let mut runs = Vec::new();
+        let sol = solve_into(&[bt(0, 1.0, 2.0, 0.0)], &p, &mut runs);
         assert_eq!(sol.energy, 0.0);
-        assert_eq!(sol.runs[0].1, 0.0);
+        assert_eq!(runs[0].1, 0.0);
     }
 
     #[test]

@@ -32,8 +32,10 @@ use super::{BlockTask, PowerParams};
 const DESCENT_TOL: f64 = 1e-12;
 const MAX_SWEEPS: usize = 80;
 
-/// The optimum of one block: busy interval and per-task runs.
-#[derive(Debug, Clone)]
+/// The optimum of one block: its busy interval and energy. The per-task
+/// runs follow from it (see [`runs_into`]) and are only materialized for
+/// the blocks a schedule actually uses.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct BlockSolution {
     /// Busy interval start (absolute seconds).
     pub s: f64,
@@ -41,9 +43,6 @@ pub(crate) struct BlockSolution {
     pub e: f64,
     /// Block energy: `α_m (e − s)` + per-task optimal run energies.
     pub energy: f64,
-    /// Per-task `(start, length)` of the actual runs, parallel to the input
-    /// task slice. Zero-work tasks get `(start, 0)`.
-    pub runs: Vec<(f64, f64)>,
 }
 
 /// Per-task best-response energy for a window of length `window`.
@@ -162,23 +161,33 @@ pub(crate) fn solve(tasks: &[BlockTask], pw: &PowerParams) -> BlockSolution {
         }
     }
 
-    let runs = tasks
-        .iter()
-        .map(|t| {
-            if t.w == 0.0 {
-                return (s.max(t.r), 0.0);
-            }
-            let win = window(t, s, e);
-            let l = best_run_length(t.w, win, pw);
-            (s.max(t.r), l)
-        })
-        .collect();
     BlockSolution {
         s,
         e,
         energy: best_f,
-        runs,
     }
+}
+
+/// Writes the per-task `(start, length)` runs of `blk` into `out`
+/// (cleared first), parallel to `tasks`: each task starts at
+/// `max(s, r_k)` and runs its best-response length. Zero-work tasks get
+/// `(start, 0)`.
+pub(crate) fn runs_into(
+    tasks: &[BlockTask],
+    blk: &BlockSolution,
+    pw: &PowerParams,
+    out: &mut Vec<(f64, f64)>,
+) {
+    let (s, e) = (blk.s, blk.e);
+    out.clear();
+    out.extend(tasks.iter().map(|t| {
+        if t.w == 0.0 {
+            return (s.max(t.r), 0.0);
+        }
+        let win = window(t, s, e);
+        let l = best_run_length(t.w, win, pw);
+        (s.max(t.r), l)
+    }));
 }
 
 /// Dense grid oracle for one block: sweeps `(s, e)` over a `grid × grid`
@@ -273,7 +282,9 @@ mod tests {
             sol.s,
             sol.e
         );
-        let (start, len) = sol.runs[0];
+        let mut runs = Vec::new();
+        runs_into(&tasks, &sol, &p, &mut runs);
+        let (start, len) = runs[0];
         assert!((len - 1.0).abs() < 1e-6);
         assert!(start >= sol.s - 1e-9);
     }
@@ -319,7 +330,9 @@ mod tests {
             bt(2, 3.0, 12.0, 4.0),
         ];
         let sol = solve(&tasks, &p);
-        for (t, &(start, len)) in tasks.iter().zip(&sol.runs) {
+        let mut runs = Vec::new();
+        runs_into(&tasks, &sol, &p, &mut runs);
+        for (t, &(start, len)) in tasks.iter().zip(&runs) {
             assert!(start >= t.r - 1e-9);
             assert!(start + len <= t.d + 1e-9);
             assert!(start >= sol.s - 1e-9);
@@ -347,10 +360,13 @@ mod tests {
     #[test]
     fn zero_work_tasks_are_free() {
         let p = pw(0.0, 4.0);
-        let with = solve(&[bt(0, 0.0, 10.0, 2.0), bt(1, 0.0, 10.0, 0.0)], &p);
+        let both = [bt(0, 0.0, 10.0, 2.0), bt(1, 0.0, 10.0, 0.0)];
+        let with = solve(&both, &p);
         let without = solve(&[bt(0, 0.0, 10.0, 2.0)], &p);
         assert!((with.energy - without.energy).abs() < 1e-9);
-        assert_eq!(with.runs[1].1, 0.0);
+        let mut runs = Vec::new();
+        runs_into(&both, &with, &p, &mut runs);
+        assert_eq!(runs[1].1, 0.0);
     }
 
     #[test]

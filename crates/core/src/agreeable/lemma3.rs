@@ -26,7 +26,7 @@ use sdem_types::numeric::{bisect_increasing, minimize_unimodal};
 use sdem_types::{Joules, TaskSet};
 
 use super::block::BlockSolution;
-use super::{prepare, BlockTask, PowerParams};
+use super::{block_rows_into, prepare, BlockTask, PowerParams};
 use crate::SdemError;
 
 /// Solves the whole task set as a single block with the Lemma-3 closed
@@ -48,16 +48,8 @@ pub fn solve_single_block_lemma3(
     }
     let sorted = prepare(tasks, platform)?;
     let pw = PowerParams::of(platform);
-    let bts: Vec<BlockTask> = sorted
-        .iter()
-        .enumerate()
-        .map(|(index, t)| BlockTask {
-            index,
-            r: t.release().as_secs(),
-            d: t.deadline().as_secs(),
-            w: t.work().value(),
-        })
-        .collect();
+    let mut bts = Vec::new();
+    block_rows_into(&sorted, &mut bts);
     Ok(Joules::new(solve(&bts, &pw)))
 }
 
@@ -78,22 +70,31 @@ fn energy(tasks: &[BlockTask], s: f64, e: f64, pw: &PowerParams) -> f64 {
     total
 }
 
-/// DP-compatible entry point: the Lemma-3 optimum as a [`BlockSolution`]
-/// (with `α = 0` every task is aligned, so its run fills its window).
+/// DP-compatible entry point: the Lemma-3 optimum as a [`BlockSolution`].
 pub(crate) fn solve_block(tasks: &[BlockTask], pw: &PowerParams) -> BlockSolution {
     let (s, e, energy) = solve_interval(tasks, pw);
-    let runs = tasks
-        .iter()
-        .map(|t| {
-            if t.w == 0.0 {
-                return (t.r.max(s), 0.0);
-            }
-            let start = t.r.max(s);
-            let len = (t.d.min(e) - start).max(t.w / pw.s_up);
-            (start, len)
-        })
-        .collect();
-    BlockSolution { s, e, energy, runs }
+    BlockSolution { s, e, energy }
+}
+
+/// Writes the per-task `(start, length)` runs of `blk` into `out` (cleared
+/// first, parallel to `tasks`): with `α = 0` every task is aligned, so its
+/// run fills its window.
+pub(crate) fn runs_into(
+    tasks: &[BlockTask],
+    blk: &BlockSolution,
+    pw: &PowerParams,
+    out: &mut Vec<(f64, f64)>,
+) {
+    let (s, e) = (blk.s, blk.e);
+    out.clear();
+    out.extend(tasks.iter().map(|t| {
+        if t.w == 0.0 {
+            return (t.r.max(s), 0.0);
+        }
+        let start = t.r.max(s);
+        let len = (t.d.min(e) - start).max(t.w / pw.s_up);
+        (start, len)
+    }));
 }
 
 pub(crate) fn solve(tasks: &[BlockTask], pw: &PowerParams) -> f64 {

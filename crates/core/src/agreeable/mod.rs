@@ -47,6 +47,7 @@ pub use dp::{
 pub use lemma3::solve_single_block_lemma3;
 
 use sdem_power::Platform;
+pub(crate) use sdem_types::BlockTask;
 use sdem_types::{Task, TaskSet, Workspace};
 
 use crate::SdemError;
@@ -66,27 +67,16 @@ pub fn solve_single_block(
 ) -> Result<sdem_types::Joules, SdemError> {
     let sorted = prepare(tasks, platform)?;
     let pw = PowerParams::of(platform);
-    let bts: Vec<BlockTask> = sorted
-        .iter()
-        .enumerate()
-        .map(|(index, t)| BlockTask {
-            index,
-            r: t.release().as_secs(),
-            d: t.deadline().as_secs(),
-            w: t.work().value(),
-        })
-        .collect();
+    let mut bts = Vec::new();
+    block_rows_into(&sorted, &mut bts);
     if solver == BlockSolverKind::PaperClosedForm && !platform.core().is_alpha_zero() {
         return Err(SdemError::UnsupportedModel(
             "the Lemma-3 closed-form block solver requires α = 0",
         ));
     }
-    let sol = match solver {
-        BlockSolverKind::BestResponse => block::solve(&bts, &pw),
-        BlockSolverKind::PaperIterative => algorithm1::solve(&bts, &pw),
-        BlockSolverKind::PaperClosedForm => lemma3::solve_block(&bts, &pw),
-    };
-    Ok(sdem_types::Joules::new(sol.energy))
+    Ok(sdem_types::Joules::new(
+        solver.solve_block(&bts, &pw).energy,
+    ))
 }
 
 /// Dense `grid × grid` oracle for the single-block subproblem — an
@@ -102,16 +92,8 @@ pub fn single_block_oracle(
 ) -> Result<sdem_types::Joules, SdemError> {
     let sorted = prepare(tasks, platform)?;
     let pw = PowerParams::of(platform);
-    let bts: Vec<BlockTask> = sorted
-        .iter()
-        .enumerate()
-        .map(|(index, t)| BlockTask {
-            index,
-            r: t.release().as_secs(),
-            d: t.deadline().as_secs(),
-            w: t.work().value(),
-        })
-        .collect();
+    let mut bts = Vec::new();
+    block_rows_into(&sorted, &mut bts);
     Ok(sdem_types::Joules::new(block::grid_oracle(&bts, &pw, grid)))
 }
 
@@ -146,14 +128,16 @@ impl PowerParams {
     }
 }
 
-/// One task of a block, in absolute seconds/cycles.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BlockTask {
-    /// Position of the task in the deadline-sorted global order.
-    pub index: usize,
-    pub r: f64,
-    pub d: f64,
-    pub w: f64,
+/// Fills `out` with the block-task rows of deadline-sorted `sorted`
+/// (absolute seconds/cycles, `index` = position in that order).
+pub(crate) fn block_rows_into(sorted: &[Task], out: &mut Vec<BlockTask>) {
+    out.clear();
+    out.extend(sorted.iter().enumerate().map(|(index, t)| BlockTask {
+        index,
+        r: t.release().as_secs(),
+        d: t.deadline().as_secs(),
+        w: t.work().value(),
+    }));
 }
 
 /// Validates agreeability and feasibility; returns tasks sorted by deadline
@@ -170,16 +154,19 @@ pub(crate) fn prepare_in(
     platform: &Platform,
     ws: &mut Workspace,
 ) -> Result<Vec<Task>, SdemError> {
-    if !tasks.is_agreeable() {
+    let mut sorted = ws.take_tasks();
+    if !tasks.is_agreeable_in(&mut sorted) {
+        ws.recycle_tasks(sorted);
         return Err(SdemError::NotAgreeable);
     }
     let s_up = platform.core().max_speed();
-    for t in tasks.iter() {
-        if crate::common_release::exceeds(t.filled_speed(), s_up) {
-            return Err(SdemError::InfeasibleTask(t.id()));
-        }
+    if let Some(t) = tasks
+        .iter()
+        .find(|t| crate::common_release::exceeds(t.filled_speed(), s_up))
+    {
+        ws.recycle_tasks(sorted);
+        return Err(SdemError::InfeasibleTask(t.id()));
     }
-    let mut sorted = ws.take_tasks();
     tasks.sorted_by_deadline_into(&mut sorted);
     debug_assert!(
         sorted.windows(2).all(|w| w[0].release() <= w[1].release()),

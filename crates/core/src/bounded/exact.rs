@@ -1,10 +1,14 @@
-//! The exact tier: canonical enumeration of every task→core assignment.
+//! The exact reference: canonical enumeration of every task→core
+//! assignment.
 //!
 //! Assignments are walked as restricted-growth strings (task 0 on core 0;
 //! task `k` may open at most one new core), so each set partition is
 //! visited exactly once and the lexicographically-smallest canonical
 //! string among energy-optimal assignments wins. This is the reference
-//! semantics the branch-and-bound tier reproduces bit-for-bit.
+//! semantics the branch-and-bound tier reproduces bit-for-bit, and the
+//! oracle its tests and the `bounded_tiers` bench compare against. No
+//! [`Scheme`](crate::Scheme) dispatches here: `bounded-exact` requests are
+//! served by the branch-and-bound, which returns the same bits.
 
 use sdem_power::Platform;
 use sdem_types::{TaskSet, Time, Workspace};
@@ -19,8 +23,9 @@ use crate::{SdemError, Solution};
 ///
 /// Enumeration scratch (the assignment vector, the per-leaf load
 /// accumulator, the incumbent best assignment) and the returned schedule's
-/// arenas come from `ws`.
-/// [`Scheme::BoundedExact`](crate::Scheme::BoundedExact) dispatches here.
+/// arenas come from `ws`. This is the oracle behind
+/// [`Scheme::BoundedExact`](crate::Scheme::BoundedExact), which returns
+/// the same result through [`solve_bnb_in`](super::solve_bnb_in).
 ///
 /// # Errors
 ///

@@ -12,7 +12,9 @@
 //!   optimum) and the convexity [`lower_bound`];
 //! * **exact** ([`solve_exact_in`], `n ≤` [`EXACT_LIMIT`]) — canonical
 //!   enumeration of all assignments (restricted-growth strings), the
-//!   reference the other tiers are measured against;
+//!   reference oracle the other tiers are measured against (tests and
+//!   benches call it; [`Scheme::BoundedExact`](crate::Scheme::BoundedExact)
+//!   keeps its limit and errors but is served by the branch-and-bound);
 //! * **branch-and-bound** ([`solve_bnb_in`], `n ≤` [`BNB_LIMIT`]) —
 //!   best-first depth-first search seeded with the LPT incumbent and
 //!   pruned by a water-filling relaxation of Eq. 3; bit-identical to the

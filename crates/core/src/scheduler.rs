@@ -6,10 +6,14 @@
 //! Each scheme has exactly one implementation — an `_in` function in its
 //! module that draws scratch and output buffers from a [`Workspace`] (for
 //! example [`common_release::schedule_alpha_zero_in`]) — and
-//! [`Scheme::solve_into`] calls it directly. The [`Scheduler`] trait is the
-//! object-safe seam over that dispatch, so harness layers such as
-//! [`crate::solve_or_fallback_with`] can take any solver (a `Scheme`, or a
-//! test double) as `&dyn Scheduler`.
+//! [`Scheme::solve_into`] calls it directly. The one exception is
+//! [`Scheme::BoundedExact`]: it keeps the enumerator's size limit and
+//! error order but is served by the branch-and-bound, which returns the
+//! same bits far faster; the enumerator [`bounded::solve_exact_in`] stays
+//! as the test oracle, like [`common_release::reference_optimum`]. The
+//! [`Scheduler`] trait is the object-safe seam over that dispatch, so
+//! harness layers such as [`crate::solve_or_fallback_with`] can take any
+//! solver (a `Scheme`, or a test double) as `&dyn Scheduler`.
 //!
 //! # Examples
 //!
@@ -115,8 +119,12 @@ pub enum Scheme {
     /// §3 bounded-core LPT heuristic with the given core count
     /// ([`bounded::solve_lpt_in`]).
     BoundedLpt(usize),
-    /// §3 bounded-core exact partition enumeration with the given core
-    /// count, small instances only ([`bounded::solve_exact_in`]).
+    /// §3 bounded-core exact optimum with the given core count, up to
+    /// [`bounded::EXACT_LIMIT`] tasks. Served by the branch-and-bound
+    /// ([`bounded::solve_bnb_in`], unbudgeted on that range), which is
+    /// bit-identical to the enumeration oracle
+    /// [`bounded::solve_exact_in`]; errors keep the enumerator's order
+    /// and limit.
     BoundedExact(usize),
     /// §3 bounded-core branch-and-bound with the given core count — exact
     /// results, bit-identical to [`Scheme::BoundedExact`] on instances
@@ -167,6 +175,12 @@ impl Scheme {
     /// matching `α`; agreeable deadlines → the §5 DP (overhead-aware when
     /// break-evens are positive); anything else → SDEM-ON.
     pub fn resolve(self, tasks: &TaskSet, platform: &Platform) -> Scheme {
+        self.resolve_in(tasks, platform, &mut Workspace::new())
+    }
+
+    /// In-place [`Scheme::resolve`]: the agreeability check sorts in a
+    /// task buffer drawn from `ws`.
+    fn resolve_in(self, tasks: &TaskSet, platform: &Platform, ws: &mut Workspace) -> Scheme {
         if let Scheme::BoundedAuto(cores) = self {
             // Strongest tier the size admits: exact → B&B → LPT + refine.
             let n = tasks.len();
@@ -191,7 +205,7 @@ impl Scheme {
             } else {
                 Scheme::CommonReleaseAlphaNonzero
             }
-        } else if tasks.is_agreeable() {
+        } else if agreeable_in(tasks, ws) {
             if has_overhead {
                 Scheme::AgreeableOverhead
             } else {
@@ -210,7 +224,7 @@ impl Scheduler for Scheme {
         platform: &Platform,
         ws: &mut Workspace,
     ) -> Result<Solution, SdemError> {
-        let resolved = self.resolve(tasks, platform);
+        let resolved = self.resolve_in(tasks, platform, ws);
         // One relaxed load each when observability is off; the labeled
         // histogram sample and span are recorded only when enabled.
         let label = resolved.solve_label();
@@ -236,7 +250,7 @@ impl Scheduler for Scheme {
             Scheme::OnlineBounded(n) => online::schedule_online_bounded_in(tasks, platform, n, ws)
                 .map(|schedule| Solution::from_schedule_in(schedule, platform, ws)),
             Scheme::BoundedLpt(n) => bounded::solve_lpt_in(tasks, platform, n, ws),
-            Scheme::BoundedExact(n) => bounded::solve_exact_in(tasks, platform, n, ws),
+            Scheme::BoundedExact(n) => bounded_exact_in(tasks, platform, n, ws),
             Scheme::BoundedBnb(n) => bounded::solve_bnb_in(tasks, platform, n, ws),
             Scheme::BoundedRefined(n) => bounded::solve_refined_in(tasks, platform, n, ws),
             Scheme::DagFederated(n) => crate::dag::solve_federated_in(tasks, platform, n, ws),
@@ -244,6 +258,37 @@ impl Scheduler for Scheme {
         sdem_obs::registry::record_elapsed(label, clock);
         result
     }
+}
+
+/// [`TaskSet::is_agreeable`] with its sort buffer drawn from `ws`.
+fn agreeable_in(tasks: &TaskSet, ws: &mut Workspace) -> bool {
+    let mut scratch = ws.take_tasks();
+    let agreeable = tasks.is_agreeable_in(&mut scratch);
+    ws.recycle_tasks(scratch);
+    agreeable
+}
+
+/// [`Scheme::BoundedExact`]: the enumerator's contract served by the
+/// branch-and-bound. The preconditions are checked in the enumerator's
+/// order (no cores, then its size limit); within that limit the search is
+/// unbudgeted and bit-identical to [`bounded::solve_exact_in`] — energy,
+/// schedule, tie-break and infeasibility witness.
+fn bounded_exact_in(
+    tasks: &TaskSet,
+    platform: &Platform,
+    cores: usize,
+    ws: &mut Workspace,
+) -> Result<Solution, SdemError> {
+    if cores == 0 {
+        return Err(SdemError::NoCores);
+    }
+    if tasks.len() > bounded::EXACT_LIMIT {
+        return Err(SdemError::TooLarge {
+            tasks: tasks.len(),
+            limit: bounded::EXACT_LIMIT,
+        });
+    }
+    bounded::solve_bnb_in(tasks, platform, cores, ws)
 }
 
 /// Solves `tasks` on `platform` with the selected [`Scheme`] — the single

@@ -10,12 +10,15 @@
 //!   lower bound and its own LPT starting point;
 //! * LPT is a deterministic function of the (work, index) pairs even when
 //!   works collide — the unstable sort's index tiebreak makes it equal to
-//!   a stable sort by work alone.
+//!   a stable sort by work alone;
+//! * `Scheme::BoundedExact`, which the branch-and-bound serves, returns
+//!   the enumerator's bits, errors and infeasibility witnesses, and keeps
+//!   the enumerator's precondition order and size limit.
 
 use sdem_core::bounded::{
     lower_bound, solve_bnb_in, solve_exact_in, solve_lpt_in, solve_refined_in, EXACT_LIMIT,
 };
-use sdem_core::SdemError;
+use sdem_core::{solve, solve_in, Scheme, SdemError, Solution};
 use sdem_power::{CorePower, MemoryPower, Platform};
 use sdem_prng::{Rng, SeedableRng, SplitMix64};
 use sdem_types::{Cycles, Task, TaskSet, Time, Watts, Workspace};
@@ -252,4 +255,144 @@ fn bnb_energy_extends_monotonically_past_the_exact_ceiling() {
             "set {i}: bnb {bnb} worse than LPT {lpt}"
         );
     }
+}
+
+/// The instances of the two seeded exact-range pools above, redrawn with
+/// their draw sequences: the `0xB0B` bit-identity pool and the `0xDE5E`
+/// dense pool. Returns `(tasks, platform, pool core count)`.
+fn exact_range_pools() -> Vec<(TaskSet, Platform, usize)> {
+    let mut pool = Vec::new();
+    let mut rng = SplitMix64::seed_from_u64(0xB0B);
+    for i in 0..100usize {
+        let n = 2 + (rng.next_u64() % 8) as usize;
+        let works = seeded_works(n, &mut rng);
+        let deadline = rng.gen_range(2.0..50.0);
+        let p = capped_platform(if i % 5 == 0 { 0.0 } else { 4.0 }, 1.5);
+        pool.push((tset(&works, deadline), p, 1 + i % 3));
+    }
+    let mut rng = SplitMix64::seed_from_u64(0xDE5E);
+    for _ in 0..40usize {
+        let n = 3 + (rng.next_u64() % 6) as usize;
+        let works = seeded_works(n, &mut rng);
+        let total: f64 = works.iter().sum();
+        let deadline = rng.gen_range(0.8..1.2) * total / (2.0 * 3.0);
+        pool.push((tset(&works, deadline), capped_platform(4.0, 3.0), 2));
+    }
+    pool
+}
+
+/// Asserts two solutions are bitwise equal: energy, memory sleep, and
+/// every placement's task, core and segment bits.
+fn assert_bitwise_equal(a: &Solution, b: &Solution, ctx: &str) {
+    assert_eq!(
+        a.predicted_energy().value().to_bits(),
+        b.predicted_energy().value().to_bits(),
+        "energy bits: {ctx}"
+    );
+    assert_eq!(
+        a.memory_sleep().value().to_bits(),
+        b.memory_sleep().value().to_bits(),
+        "memory sleep bits: {ctx}"
+    );
+    let (pa, pb) = (a.schedule().placements(), b.schedule().placements());
+    assert_eq!(pa.len(), pb.len(), "placement count: {ctx}");
+    for (x, y) in pa.iter().zip(pb) {
+        assert_eq!(
+            (x.task(), x.core()),
+            (y.task(), y.core()),
+            "placement: {ctx}"
+        );
+        let bits = |p: &sdem_types::Placement| -> Vec<[u64; 3]> {
+            p.segments()
+                .iter()
+                .map(|s| {
+                    [
+                        s.start().as_secs().to_bits(),
+                        s.end().as_secs().to_bits(),
+                        s.speed().as_hz().to_bits(),
+                    ]
+                })
+                .collect()
+        };
+        assert_eq!(bits(x), bits(y), "segments of {:?}: {ctx}", x.task());
+    }
+}
+
+#[test]
+fn bounded_exact_scheme_is_bitwise_the_enumerator() {
+    let mut ws = Workspace::new();
+    let mut warm = Workspace::new();
+    let (mut feasible, mut infeasible) = (0usize, 0usize);
+    for (i, (tasks, p, pool_cores)) in exact_range_pools().iter().enumerate() {
+        let n = tasks.len();
+        // One core, the pool's own count, exactly n and more than n.
+        for cores in [1, *pool_cores, n, n + 3] {
+            let ctx = format!("set {i}, n {n}, cores {cores}");
+            let oracle = solve_exact_in(tasks, p, cores, &mut ws);
+            let fresh = solve(tasks, p, Scheme::BoundedExact(cores));
+            let reused = solve_in(tasks, p, Scheme::BoundedExact(cores), &mut warm);
+            match (oracle, fresh, reused) {
+                (Ok(a), Ok(b), Ok(c)) => {
+                    feasible += 1;
+                    assert_bitwise_equal(&a, &b, &ctx);
+                    assert_bitwise_equal(&a, &c, &ctx);
+                    warm.recycle_schedule(c.into_schedule());
+                }
+                (Err(a), Err(b), Err(c)) => {
+                    infeasible += 1;
+                    assert!(matches!(a, SdemError::InfeasibleTask(_)), "{ctx}: {a:?}");
+                    assert_eq!(a, b, "error and witness: {ctx}");
+                    assert_eq!(a, c, "error and witness: {ctx}");
+                }
+                (a, b, c) => panic!("outcomes differ: {ctx}: {a:?} / {b:?} / {c:?}"),
+            }
+        }
+    }
+    assert!(feasible >= 200, "only {feasible} feasible cases");
+    assert!(infeasible >= 40, "only {infeasible} infeasible cases");
+}
+
+#[test]
+fn bounded_exact_scheme_keeps_the_enumerator_preconditions() {
+    let p = platform(4.0);
+    let mut ws = Workspace::new();
+    let at_limit = tset(&[1.0; EXACT_LIMIT], 100.0);
+    let past_limit = tset(&[1.0; EXACT_LIMIT + 1], 100.0);
+    let too_large = SdemError::TooLarge {
+        tasks: EXACT_LIMIT + 1,
+        limit: EXACT_LIMIT,
+    };
+    for (tasks, cores) in [(&at_limit, 0), (&past_limit, 0), (&past_limit, 4)] {
+        assert_eq!(
+            solve(tasks, &p, Scheme::BoundedExact(cores)).unwrap_err(),
+            solve_exact_in(tasks, &p, cores, &mut ws).unwrap_err(),
+            "n {}, cores {cores}",
+            tasks.len()
+        );
+    }
+    // No cores is checked before size, as in the enumerator.
+    assert_eq!(
+        solve(&past_limit, &p, Scheme::BoundedExact(0)).unwrap_err(),
+        SdemError::NoCores
+    );
+    assert_eq!(
+        solve(&past_limit, &p, Scheme::BoundedExact(4)).unwrap_err(),
+        too_large
+    );
+    // Shape errors still come from the common-window check.
+    let staggered = TaskSet::new(vec![
+        Task::new(0, Time::ZERO, Time::from_secs(10.0), Cycles::new(1.0)),
+        Task::new(
+            1,
+            Time::from_secs(1.0),
+            Time::from_secs(10.0),
+            Cycles::new(1.0),
+        ),
+    ])
+    .unwrap();
+    assert_eq!(
+        solve(&staggered, &p, Scheme::BoundedExact(2)).unwrap_err(),
+        solve_exact_in(&staggered, &p, 2, &mut ws).unwrap_err()
+    );
+    assert!(solve(&at_limit, &p, Scheme::BoundedExact(4)).is_ok());
 }

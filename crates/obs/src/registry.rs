@@ -82,11 +82,19 @@ pub enum Counter {
     CacheMisses,
     /// Solve-cache evictions (capacity reached, oldest entry dropped).
     CacheEvictions,
-    /// Bounded-core branch-and-bound search nodes expanded.
+    /// Bounded-core branch-and-bound search nodes expanded (both the
+    /// `bounded-bnb` tier and `bounded-exact`, which the branch-and-bound
+    /// serves).
     BoundedNodesExpanded,
     /// Bounded-core branch-and-bound subtrees pruned (bound or
     /// feasibility cut before expansion).
     BoundedPruned,
+    /// Agreeable-DP block solves: candidate blocks the dynamic program
+    /// solved, plus blocks solved on demand by strict-mode merges.
+    AgreeableBlocksSolved,
+    /// Agreeable-DP candidate blocks skipped unsolved because their lower
+    /// bound already exceeded the best candidate for the same prefix.
+    AgreeableBlocksPruned,
     /// Bounded-core refine-tier local-search steps applied (moves and
     /// swaps that strictly improved the load balance).
     BoundedRefineImprovements,
@@ -136,6 +144,8 @@ const COUNTER_NAMES: &[&str] = &[
     "cache_evictions",
     "bounded/nodes_expanded",
     "bounded/pruned",
+    "agreeable/blocks_solved",
+    "agreeable/blocks_pruned",
     "bounded/refine_improvements",
     "serve/worker_restarts",
     "serve/degraded_responses",
@@ -465,6 +475,14 @@ mod tests {
         assert_eq!(
             Counter::BoundedRefineImprovements.name(),
             "bounded/refine_improvements"
+        );
+        assert_eq!(
+            Counter::AgreeableBlocksSolved.name(),
+            "agreeable/blocks_solved"
+        );
+        assert_eq!(
+            Counter::AgreeableBlocksPruned.name(),
+            "agreeable/blocks_pruned"
         );
         assert_eq!(Counter::ServeWorkerRestarts.name(), "serve/worker_restarts");
         assert_eq!(

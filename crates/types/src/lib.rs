@@ -55,7 +55,7 @@ pub use interval::{IntervalSet, Timeline};
 pub use kind::{ErrorKind, ERROR_KINDS};
 pub use partition::Partition;
 pub use schedule::{CoreId, Placement, Schedule, Segment};
-pub use soa::{TaskRow, TaskSoa};
+pub use soa::{BlockTask, TaskRow, TaskSoa};
 pub use task::{Task, TaskId, TaskSet};
 pub use units::{Cycles, Joules, Speed, Time, Watts};
 pub use workspace::Workspace;

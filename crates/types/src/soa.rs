@@ -28,6 +28,25 @@ use crate::{Cycles, Task, Time};
 /// `Workspace` pool serves them all.
 pub type TaskRow = (crate::TaskId, f64, f64, f64);
 
+/// One task of a block of deadline-consecutive tasks, flattened to plain
+/// scalars: its position in the deadline-sorted order, release and
+/// deadline in seconds, and work in cycles.
+///
+/// This is the row form the agreeable-deadline block solvers read; a
+/// [`Workspace`](crate::Workspace) pool holds it so the dynamic program
+/// over blocks re-materializes its rows allocation-free.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BlockTask {
+    /// Position of the task in the deadline-sorted order.
+    pub index: usize,
+    /// Release time, seconds.
+    pub r: f64,
+    /// Deadline, seconds.
+    pub d: f64,
+    /// Work, cycles.
+    pub w: f64,
+}
+
 /// Parallel per-field columns of a task set (see the module docs).
 ///
 /// Invariant: all five columns have equal length. The columns are public

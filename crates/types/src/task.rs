@@ -276,13 +276,22 @@ impl TaskSet {
     /// `true` if deadlines are agreeable: `r_i ≤ r_j` implies `d_i ≤ d_j`
     /// (the §5 model). Common-release sets are trivially agreeable.
     pub fn is_agreeable(&self) -> bool {
-        let mut sorted: Vec<&Task> = self.tasks.iter().collect();
-        sorted.sort_by(|a, b| {
+        self.is_agreeable_in(&mut Vec::new())
+    }
+
+    /// In-place [`Self::is_agreeable`]: sorts a copy of the tasks in
+    /// `scratch` (cleared first) instead of allocating. Tasks with equal
+    /// `(release, deadline)` keys have equal deadlines, so the unstable
+    /// sort gives the same verdict as a stable one.
+    pub fn is_agreeable_in(&self, scratch: &mut Vec<Task>) -> bool {
+        scratch.clear();
+        scratch.extend_from_slice(&self.tasks);
+        scratch.sort_unstable_by(|a, b| {
             a.release()
                 .total_cmp(&b.release())
                 .then(a.deadline().total_cmp(&b.deadline()))
         });
-        sorted
+        scratch
             .windows(2)
             .all(|p| p[0].deadline() <= p[1].deadline())
     }

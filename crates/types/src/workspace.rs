@@ -21,8 +21,8 @@
 //!   its own instance; nothing is shared.
 
 use crate::{
-    CoreId, Cycles, IntervalSet, Partition, Placement, Schedule, Segment, Task, TaskRow, TaskSoa,
-    Time,
+    BlockTask, CoreId, Cycles, IntervalSet, Partition, Placement, Schedule, Segment, Task, TaskRow,
+    TaskSoa, Time,
 };
 
 /// Pools of per-trial scratch buffers (see module docs for the contract).
@@ -55,6 +55,7 @@ pub struct Workspace {
     core_ids: Vec<Vec<CoreId>>,
     spans: Vec<Vec<(Time, Time)>>,
     rows: Vec<Vec<TaskRow>>,
+    block_tasks: Vec<Vec<BlockTask>>,
     pairs: Vec<Vec<(f64, f64)>>,
     soas: Vec<TaskSoa>,
     partitions: Vec<Partition>,
@@ -143,6 +144,13 @@ impl Workspace {
         rows,
         Vec<TaskRow>,
         "`(id, f64, f64, f64)` task-row scratch"
+    );
+    pool!(
+        take_block_tasks,
+        recycle_block_tasks,
+        block_tasks,
+        Vec<BlockTask>,
+        "agreeable block-task row"
     );
     pool!(
         take_pairs,
